@@ -241,16 +241,6 @@ let pareto cands =
     ~y:(fun c -> c.miss_ratio)
     cands
 
-let thin ~max_selected pts =
-  let n = List.length pts in
-  if n <= max_selected || max_selected <= 0 then pts
-  else begin
-    let arr = Array.of_list pts in
-    (* evenly spaced indices, always keeping both extremes *)
-    List.init max_selected (fun i ->
-        arr.(i * (n - 1) / (max_selected - 1)))
-  end
-
 let is_traditional (c : candidate) =
   c.arch.Mem_arch.cache <> None
   && c.arch.Mem_arch.l2 = None
@@ -274,7 +264,7 @@ let select ?(config = default_config) p =
   in
   let banded = List.filter keep front in
   let banded = if banded = [] then front else banded in
-  let thinned = thin ~max_selected:config.max_selected banded in
+  let thinned = Mx_util.Pareto.thin ~keep:config.max_selected banded in
   (* Always hand ConEx a traditional cache-only architecture: the
      paper's exploration keeps the conventional design as its baseline
      (designs a/b of Fig. 6). *)

@@ -15,6 +15,21 @@ let continuous_points g ~size ~dim =
   let n = 1 + Prng.int g ~bound:(5 * size) in
   List.init n (fun _ -> Array.init dim (fun _ -> Prng.float g))
 
+let extreme_points g ~size ~dim =
+  let extreme v =
+    match Prng.int g ~bound:8 with 0 -> infinity | 1 -> neg_infinity | _ -> v
+  in
+  let pts =
+    Array.map (Array.map extreme) (Array.of_list (grid_points g ~size ~dim))
+  in
+  let dups =
+    Array.init (Prng.int g ~bound:(Array.length pts + 1)) (fun _ ->
+        Array.copy (Prng.pick g pts))
+  in
+  let all = Array.append pts dups in
+  Prng.shuffle g all;
+  Array.to_list all
+
 let floats g ~size = List.init size (fun _ -> Prng.float g *. 100.0)
 
 let onchip_nodes =

@@ -17,6 +17,13 @@ val continuous_points :
 (** Points with uniform coordinates in [\[0, 1)]; ties have
     probability ~0.  Between 1 and [5 * size] points. *)
 
+val extreme_points :
+  Mx_util.Prng.t -> size:int -> dim:int -> float array list
+(** {!grid_points} with about a quarter of the coordinates replaced by
+    [+infinity] or [neg_infinity], plus copies of random members
+    (duplicate objective vectors), shuffled in.  Between 1 and
+    [10 * size] points. *)
+
 val floats : Mx_util.Prng.t -> size:int -> float list
 (** Exactly [size] floats in [\[0, 100)]. *)
 

@@ -70,37 +70,52 @@ let front_vs_oracle name points =
       R.check (got = want) "front differs from quadratic oracle on %d points"
         (List.length pts))
 
+(* front2 and the exact archive both emit the front sorted by x; on a
+   front, equal x means equal y, so this is the oracle's front
+   stable-sorted by x. *)
+let front2_vs_oracle name points =
+  R.prop name (fun ~seed ~size ->
+      let g = Prng.create ~seed in
+      let x (p : float array) = p.(0) and y (p : float array) = p.(1) in
+      let pts = points g ~size ~dim:2 in
+      let want = Pareto.sort_by x (Oracle.pareto_front ~axes:[ x; y ] pts) in
+      let archive = Pareto.Archive.of_list ~axes:[ x; y ] pts in
+      R.check
+        (Pareto.front2 ~x ~y pts = want && Pareto.Archive.front archive = want)
+        "front2 or the exact archive differs from the x-sorted oracle front \
+         on %d points"
+        (List.length pts))
+
 let pareto_suite =
   [
     front_vs_oracle "front matches quadratic oracle (tied grid points)"
       Gen.grid_points;
     front_vs_oracle "front matches quadratic oracle (continuous points)"
       Gen.continuous_points;
+    front_vs_oracle "front matches quadratic oracle (duplicates, infinities)"
+      Gen.extreme_points;
     R.prop "front is idempotent" (fun ~seed ~size ->
         let g = Prng.create ~seed in
         let axes = axes_of_dim 3 in
-        let front = Pareto.front ~axes (Gen.grid_points g ~size ~dim:3) in
+        let front = Pareto.front ~axes (Gen.extreme_points g ~size ~dim:3) in
         R.check
           (Pareto.front ~axes front = front)
           "front (front pts) <> front pts");
     R.prop "front is permutation-invariant as a set" (fun ~seed ~size ->
         let g = Prng.create ~seed in
         let axes = axes_of_dim 3 in
-        let pts = Gen.grid_points g ~size ~dim:3 in
+        let pts = Gen.extreme_points g ~size ~dim:3 in
         let arr = Array.of_list pts in
         Prng.shuffle g arr;
         R.check
           (sorted (Pareto.front ~axes pts)
           = sorted (Pareto.front ~axes (Array.to_list arr)))
           "shuffling the input changed the front");
-    R.prop "front2 agrees with the generic front" (fun ~seed ~size ->
-        let g = Prng.create ~seed in
-        let x (p : float array) = p.(0) and y (p : float array) = p.(1) in
-        let pts = Gen.continuous_points g ~size ~dim:2 in
-        R.check
-          (sorted (Pareto.front2 ~x ~y pts)
-          = sorted (Pareto.front ~axes:[ x; y ] pts))
-          "two-objective sweep disagrees with the quadratic filter");
+    front2_vs_oracle "front2 agrees with the sorted oracle (tied grid points)"
+      Gen.grid_points;
+    front2_vs_oracle
+      "front2 agrees with the sorted oracle (duplicates, infinities)"
+      Gen.extreme_points;
   ]
 
 (* -- cluster ------------------------------------------------------------- *)

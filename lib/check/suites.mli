@@ -3,7 +3,9 @@
     Each suite bundles the properties of one subsystem:
 
     - [pareto]      front vs quadratic oracle, idempotence, permutation
-                    invariance, front2/front agreement
+                    invariance, front2 and exact-archive order vs the
+                    x-sorted oracle; tied grid points plus duplicates
+                    and infinite coordinates
     - [cluster]     levels vs naive bottom-up oracle, conservation laws,
                     ordered-variant invariants
     - [assign]      enumeration vs exhaustive cartesian oracle,

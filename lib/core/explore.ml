@@ -312,16 +312,11 @@ let connectivity_exploration cfg workload (cand : Mx_apex.Explore.candidate) =
 let axes = [ Design.cost; Design.latency; Design.energy ]
 
 let thin_by_cost ~keep designs =
-  let n = List.length designs in
-  if n <= keep || keep <= 0 then designs
-  else begin
-    let arr = Array.of_list (Mx_util.Pareto.sort_by Design.cost designs) in
-    if keep = 1 then [ arr.(0) ]
-    else List.init keep (fun i -> arr.(i * (n - 1) / (keep - 1)))
-  end
+  if List.length designs <= keep || keep <= 0 then designs
+  else Pareto.thin ~keep (Pareto.sort_by Design.cost designs)
 
 let local_promising cfg designs =
-  let front = Mx_util.Pareto.front ~axes designs in
+  let front = Pareto.front ~axes designs in
   let kept = thin_by_cost ~keep:cfg.phase1_keep front in
   if Mx_util.Metrics.is_on Mx_util.Metrics.global then begin
     Mx_util.Metrics.observe Mx_util.Metrics.global ~unit_:"designs"
@@ -348,7 +343,7 @@ let local_promising cfg designs =
           let dominator =
             match
               List.find_opt
-                (fun e -> e != d && Mx_util.Pareto.dominates ~axes e d)
+                (fun e -> e != d && Pareto.dominates ~axes e d)
                 designs
             with
             | Some e -> Design.structural_key e

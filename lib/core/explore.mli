@@ -87,6 +87,11 @@ type result = {
           counts then describe the committed prefix of the work *)
 }
 
+val make_archive : config -> Design.t Mx_util.Pareto.Archive.t
+(** An empty cost/latency anytime archive with the config's
+    [archive_eps] and [archive_capacity] — the archive every Phase II
+    sweep ({!run} and the {!Strategy} variants) commits into. *)
+
 val fidelity_of_sample : (int * int) option -> Mx_sim.Eval.fidelity
 (** [None] is {!Mx_sim.Eval.Exact}, [Some (on, off)] is
     {!Mx_sim.Eval.Sampled} — how a [config.sample] maps onto the
@@ -116,9 +121,10 @@ val connectivity_exploration :
     Returns estimated (unsimulated) design points. *)
 
 val thin_by_cost : keep:int -> Design.t list -> Design.t list
-(** Even cost-spread subsample of [keep] designs (the cheapest and the
-    most expensive always survive; [keep = 1] returns the single
-    cheapest).  Identity when the list already fits or [keep <= 0]. *)
+(** Even cost-spread subsample of [keep] designs: {!Mx_util.Pareto.thin}
+    of the designs sorted by cost (the cheapest and the most expensive
+    always survive; [keep = 1] returns the single cheapest).  Identity,
+    in input order, when the list already fits or [keep <= 0]. *)
 
 val local_promising : config -> Design.t list -> Design.t list
 (** Phase I selection: the 3-objective (cost, latency, energy) pareto

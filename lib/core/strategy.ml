@@ -21,23 +21,10 @@ let kind_to_string = function
 (* nearest non-selected estimates around each selected point, measured
    on span-normalised (cost, latency, energy) axes *)
 let neighbors_of ~k selected all =
-  let axes = [ Design.cost; Design.latency; Design.energy ] in
-  let spans =
-    List.map
-      (fun f ->
-        let vs = List.map f all in
-        let lo = List.fold_left Float.min infinity vs
-        and hi = List.fold_left Float.max neg_infinity vs in
-        let s = hi -. lo in
-        if s <= 0.0 then 1.0 else s)
-      axes
-  in
-  let dist2 a b =
-    List.fold_left2
-      (fun acc f s ->
-        let d = (f a -. f b) /. s in
-        acc +. (d *. d))
-      0.0 axes spans
+  let dist2 =
+    Mx_util.Pareto.normalised_dist2
+      ~axes:[ Design.cost; Design.latency; Design.energy ]
+      all
   in
   let rest =
     List.filter
@@ -132,12 +119,7 @@ let run ?(config = Explore.default_config) ?(neighbors = 2)
           selected @ nbrs)
         per_arch
     in
-    let archive =
-      Mx_util.Pareto.Archive.create
-        ~axes:[ Design.cost; Design.latency ]
-        ~eps:config.Explore.archive_eps
-        ?capacity:config.Explore.archive_capacity ()
-    in
+    let archive = Explore.make_archive config in
     let simulated =
       Explore.evaluate_designs config workload ~stage:"phase2"
         ~fidelity:(Explore.fidelity_of_sample config.Explore.sample)
@@ -204,12 +186,7 @@ let run ?(config = Explore.default_config) ?(neighbors = 2)
             conns)
         per_arch
     in
-    let archive =
-      Mx_util.Pareto.Archive.create
-        ~axes:[ Design.cost; Design.latency ]
-        ~eps:config.Explore.archive_eps
-        ?capacity:config.Explore.archive_capacity ()
-    in
+    let archive = Explore.make_archive config in
     let simulated =
       Explore.evaluate_designs config workload ~stage:"phase2"
         ~fidelity:(Explore.fidelity_of_sample config.Explore.sample)

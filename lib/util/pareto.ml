@@ -5,47 +5,68 @@ let dominates ~axes a b =
   let strictly = List.exists (fun f -> f a < f b) axes in
   no_worse && strictly
 
+(* Lexicographic order on the axes.  A dominator is no worse on every
+   axis and differs on at least one, so it sorts strictly before every
+   point it dominates. *)
+let compare_lex axes a b =
+  let rec go = function
+    | [] -> 0
+    | f :: rest -> (
+      match Float.compare (f a) (f b) with 0 -> go rest | c -> c)
+  in
+  go axes
+
+(* Sort-and-sweep (Kung, Luccio & Preparata 1975).  Every dominated
+   point is dominated by some front point, and that point sorts before
+   it, so checking each point against the front kept so far suffices.
+   Sorting an index array keeps the input order recoverable without
+   allocating a list of pairs. *)
 let front ~axes designs =
-  let arr = Array.of_list designs in
-  let n = Array.length arr in
+  let pts = Array.of_list designs in
+  let order = Array.init (Array.length pts) Fun.id in
+  Array.stable_sort (fun i j -> compare_lex axes pts.(i) pts.(j)) order;
+  let on_front = Array.make (Array.length pts) false in
   let kept = ref [] in
-  for i = n - 1 downto 0 do
-    let d = arr.(i) in
-    let dominated = ref false in
-    for j = 0 to n - 1 do
-      if (not !dominated) && j <> i && dominates ~axes arr.(j) d then
-        dominated := true
-    done;
-    if not !dominated then kept := d :: !kept
-  done;
-  !kept
+  Array.iter
+    (fun i ->
+      let d = pts.(i) in
+      if not (List.exists (fun k -> dominates ~axes k d) !kept) then begin
+        on_front.(i) <- true;
+        kept := d :: !kept
+      end)
+    order;
+  List.filteri (fun i _ -> on_front.(i)) designs
 
 let sort_by f l = List.stable_sort (fun a b -> Float.compare (f a) (f b)) l
 
-let front2 ~x ~y designs =
-  (* Sweep by increasing x, then increasing y; a point survives iff its y
-     is strictly below every y seen so far (equal-x points: only the best
-     y survives unless tied). *)
-  let sorted =
-    List.stable_sort
-      (fun a b ->
-        match Float.compare (x a) (x b) with
-        | 0 -> Float.compare (y a) (y b)
-        | c -> c)
-      designs
+let front2 ~x ~y designs = sort_by x (front ~axes:[ x; y ] designs)
+
+let thin ~keep pts =
+  let n = List.length pts in
+  if n <= keep || keep <= 0 then pts
+  else begin
+    let arr = Array.of_list pts in
+    if keep = 1 then [ arr.(0) ]
+    else List.init keep (fun i -> arr.(i * (n - 1) / (keep - 1)))
+  end
+
+let normalised_dist2 ~axes population =
+  let spans =
+    List.map
+      (fun f ->
+        let vs = List.map f population in
+        let lo = List.fold_left Float.min infinity vs in
+        let hi = List.fold_left Float.max neg_infinity vs in
+        let s = hi -. lo in
+        if s <= 0.0 then 1.0 else s)
+      axes
   in
-  let rec sweep best_y acc = function
-    | [] -> List.rev acc
-    | d :: rest ->
-      if y d < best_y then sweep (y d) (d :: acc) rest
-      else if y d = best_y && best_y < infinity then
-        (* keep ties on y only when x also ties with the last kept point *)
-        (match acc with
-        | last :: _ when x last = x d -> sweep best_y (d :: acc) rest
-        | _ -> sweep best_y acc rest)
-      else sweep best_y acc rest
-  in
-  sweep infinity [] sorted
+  fun a b ->
+    List.fold_left2
+      (fun acc f s ->
+        let d = (f a -. f b) /. s in
+        acc +. (d *. d))
+      0.0 axes spans
 
 module Coverage = struct
   type report = {
@@ -69,23 +90,7 @@ module Coverage = struct
     (if missed <> [] && explored <> [] then begin
        (* Normalise each axis by the reference front's span so the
           nearest-neighbour search is scale-free. *)
-       let spans =
-         List.map
-           (fun f ->
-             let vs = List.map f reference in
-             let lo = List.fold_left Float.min infinity vs in
-             let hi = List.fold_left Float.max neg_infinity vs in
-             let s = hi -. lo in
-             if s <= 0.0 then 1.0 else s)
-           axes
-       in
-       let dist2 a b =
-         List.fold_left2
-           (fun acc f s ->
-             let d = (f a -. f b) /. s in
-             acc +. (d *. d))
-           0.0 axes spans
-       in
+       let dist2 = normalised_dist2 ~axes reference in
        List.iter
          (fun r ->
            let nearest =
@@ -175,12 +180,7 @@ module Archive = struct
     && List.exists (fun f -> f a < relax (f b)) axes
 
   let compare_members axes (sa, a) (sb, b) =
-    let rec go = function
-      | [] -> compare sa sb
-      | f :: rest -> (
-        match Float.compare (f a) (f b) with 0 -> go rest | c -> c)
-    in
-    go axes
+    match compare_lex axes a b with 0 -> compare sa sb | c -> c
 
   let front t =
     List.map snd (List.sort (compare_members t.axes) t.members)
@@ -208,13 +208,8 @@ module Archive = struct
     let crowd = Array.make n 0.0 in
     List.iter
       (fun f ->
-        let idx = Array.init n (fun i -> i) in
-        Array.sort
-          (fun i j ->
-            match Float.compare (f (snd arr.(i))) (f (snd arr.(j))) with
-            | 0 -> compare (fst arr.(i)) (fst arr.(j))
-            | c -> c)
-          idx;
+        let idx = Array.init n Fun.id in
+        Array.sort (fun i j -> compare_members [ f ] arr.(i) arr.(j)) idx;
         let lo = f (snd arr.(idx.(0))) and hi = f (snd arr.(idx.(n - 1))) in
         let span = if hi -. lo <= 0.0 then 1.0 else hi -. lo in
         crowd.(idx.(0)) <- infinity;

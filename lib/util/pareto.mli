@@ -13,16 +13,38 @@ val dominates : axes:'a axis list -> 'a -> 'a -> bool
 (** [dominates ~axes a b] is true iff [a] dominates [b]. *)
 
 val front : axes:'a axis list -> 'a list -> 'a list
-(** [front ~axes designs] returns the non-dominated subset, preserving
-    first-occurrence order.  Duplicate objective vectors are all kept
-    (they dominate nothing and are dominated by nothing). *)
+(** [front ~axes designs] returns the non-dominated subset, in input
+    order.  Duplicate objective vectors are all kept (they dominate
+    nothing and are dominated by nothing).
+
+    The one front algorithm of the code base, a sort-and-sweep (Kung,
+    Luccio & Preparata 1975): stable-sort the indices lexicographically
+    by the axes (a dominator always sorts before the points it
+    dominates), then walk that order and keep a point only if no point
+    kept so far {!dominates} it.  Cost: an
+    O(n log n) sort plus O(n·h) dominance tests, where h is the front
+    size. *)
 
 val front2 : x:'a axis -> y:'a axis -> 'a list -> 'a list
-(** Two-objective front, returned sorted by increasing [x].  O(n log n)
-    sweep rather than the generic O(n^2) filter. *)
+(** Two-objective front sorted by increasing [x]: by definition
+    [sort_by x (front ~axes:[x; y] designs)].  Points on the front that
+    tie on [x] also tie on [y], so they stay in input order. *)
 
 val sort_by : 'a axis -> 'a list -> 'a list
 (** Stable ascending sort by one axis. *)
+
+val thin : keep:int -> 'a list -> 'a list
+(** [thin ~keep pts] keeps [keep] evenly spaced members of [pts], in
+    order, always including the first and the last ([keep = 1] keeps
+    only the first).  Identity when [pts] already fits or [keep <= 0].
+    APEX thins its cost-sorted front with it, and Phase I its
+    cost-sorted local front. *)
+
+val normalised_dist2 : axes:'a axis list -> 'a list -> 'a -> 'a -> float
+(** [normalised_dist2 ~axes population] is the squared Euclidean
+    distance with each axis divided by its span over [population] (1
+    where the span is 0), so nearest-neighbour searches are scale-free.
+    Apply it to [population] once: the spans are computed then. *)
 
 (** Coverage of a reference front by an explored point set — the metric
     of the paper's Table 2. *)
@@ -67,9 +89,10 @@ end
     evaluations that produced them were scheduled.
 
     With [eps = 0] and no [capacity] (the defaults), the final [front]
-    over a full insertion stream equals [front2 ~x ~y] of the same list
-    for two axes (same members, same order, duplicates included), and
-    the non-dominated subset of [front ~axes] for any axis count. *)
+    over a full insertion stream has the members of [front ~axes] of the
+    same list (duplicates included), sorted lexicographically by the
+    axes and then by insertion order; for two axes that is exactly
+    [front2 ~x ~y]. *)
 module Archive : sig
   type 'a t
 

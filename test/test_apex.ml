@@ -97,6 +97,25 @@ let test_select_excludes_degenerate () =
         (c.Explore.miss_ratio <= Float.max (2.0 *. best) (best +. 0.02)))
     sel
 
+(* max_selected = 1 on a band of several points: the evenly spaced
+   subsample must keep one point, not divide by max_selected - 1. *)
+let test_select_single () =
+  let p = profile () in
+  let config = { Explore.reduced_config with Explore.max_selected = 1 } in
+  let banded =
+    Explore.select ~config:{ config with Explore.max_selected = 1000 } p
+  in
+  Helpers.check_true "the band holds more than one point"
+    (List.length banded > 1);
+  let sel = Explore.select ~config p in
+  Helpers.check_true "one pick plus at most the baseline"
+    (List.length sel >= 1 && List.length sel <= 2);
+  let label (c : Explore.candidate) = c.Explore.arch.Mem_arch.label in
+  Helpers.check_true "picks come from the unthinned selection"
+    (List.for_all
+       (fun c -> List.exists (fun b -> label b = label c) banded)
+       sel)
+
 let suite =
   ( "apex",
     [
@@ -108,4 +127,5 @@ let suite =
       Alcotest.test_case "select cap/order" `Slow test_select_cap_and_order;
       Alcotest.test_case "select deterministic" `Slow test_select_deterministic;
       Alcotest.test_case "select band" `Slow test_select_excludes_degenerate;
+      Alcotest.test_case "select max_selected=1" `Quick test_select_single;
     ] )

@@ -61,6 +61,46 @@ let test_front2_equals_front () =
   Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
     "front2 agrees with generic front" (List.sort compare a) b
 
+(* A point with y = +inf is non-dominated when nothing beats it on x;
+   front2 and the archive must keep it like front does. *)
+let test_front2_keeps_infinite_y () =
+  let xy pts = List.map (fun p -> (p.x, p.y)) pts in
+  let check name pts want =
+    Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+      (name ^ ": front2") want
+      (xy (Pareto.front2 ~x:px ~y:py pts));
+    Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+      (name ^ ": archive") want
+      (xy (Pareto.Archive.front (Pareto.Archive.of_list ~axes:[ px; py ] pts)))
+  in
+  check "inf first" [ mk 1.0 infinity 0.0; mk 2.0 5.0 0.0 ]
+    [ (1.0, infinity); (2.0, 5.0) ];
+  check "inf alone" [ mk 1.0 infinity 0.0 ] [ (1.0, infinity) ];
+  check "inf dominated on y" [ mk 1.0 infinity 0.0; mk 1.0 5.0 0.0 ]
+    [ (1.0, 5.0) ]
+
+let test_thin () =
+  let l = List.init 10 Fun.id in
+  Alcotest.(check (list int)) "evenly spaced, both ends" [ 0; 3; 6; 9 ]
+    (Pareto.thin ~keep:4 l);
+  Alcotest.(check (list int)) "keep = 2 is the two ends" [ 0; 9 ]
+    (Pareto.thin ~keep:2 l);
+  Alcotest.(check (list int)) "keep = 1 is the first" [ 0 ]
+    (Pareto.thin ~keep:1 l);
+  Alcotest.(check (list int)) "keep <= 0 is the identity" l
+    (Pareto.thin ~keep:0 l);
+  Alcotest.(check (list int)) "a list that fits is the identity" [ 5; 1 ]
+    (Pareto.thin ~keep:2 [ 5; 1 ])
+
+let test_normalised_dist2 () =
+  let pop = [ mk 0.0 10.0 0.0; mk 2.0 30.0 0.0 ] in
+  let dist2 = Pareto.normalised_dist2 ~axes:[ px; py; pz ] pop in
+  (* spans 2 and 20; the zero span of z counts as 1 *)
+  Helpers.check_float "span-normalised" 0.5
+    (dist2 (mk 0.0 10.0 0.0) (mk 1.0 20.0 0.0));
+  Helpers.check_float "zero span falls back to 1" 4.0
+    (dist2 (mk 0.0 10.0 0.0) (mk 0.0 10.0 2.0))
+
 let test_sort_by () =
   let pts = [ mk 3.0 0.0 0.0; mk 1.0 0.0 0.0; mk 2.0 0.0 0.0 ] in
   Alcotest.(check (list (float 1e-9)))
@@ -225,7 +265,11 @@ let suite =
       Alcotest.test_case "front empty" `Quick test_front_empty;
       Alcotest.test_case "front2 sorted" `Quick test_front2_sorted;
       Alcotest.test_case "front2 = front" `Quick test_front2_equals_front;
+      Alcotest.test_case "front2 keeps y = inf" `Quick
+        test_front2_keeps_infinite_y;
       Alcotest.test_case "sort_by" `Quick test_sort_by;
+      Alcotest.test_case "thin" `Quick test_thin;
+      Alcotest.test_case "normalised dist2" `Quick test_normalised_dist2;
       Alcotest.test_case "coverage full" `Quick test_coverage_full;
       Alcotest.test_case "coverage partial" `Quick test_coverage_partial;
       Alcotest.test_case "coverage empty ref" `Quick test_coverage_empty_reference;
