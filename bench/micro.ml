@@ -113,24 +113,35 @@ let tests =
 let scaling ?(jobs_levels = [ 1; 2; 4 ]) () =
   print_endline "==================================================================";
   print_endline "Scaling -- Explore.run wall time vs jobs (fig3-class workload)";
-  Printf.printf "  Domain.recommended_domain_count = %d\n"
-    (Domain.recommended_domain_count ());
+  let cores = Domain.recommended_domain_count () in
+  Printf.printf "  Domain.recommended_domain_count = %d\n" cores;
   print_endline "==================================================================";
   let w = Mx_trace.Kern_compress.generate ~scale:40_000 ~seed:7 in
+  let hits () =
+    Mx_util.Metrics.counter_value Mx_util.Metrics.global "eval.cache.hits"
+  in
   let run_at jobs =
+    (* every level starts cold: both cache tiers emptied, so a later
+       level cannot be served results an earlier one computed *)
+    Mx_sim.Eval.clear_cache ();
+    Mx_sim.Eval.close_persist ();
     let config = { Conex.Explore.reduced_config with Conex.Explore.jobs } in
+    let h0 = hits () in
     let t0 = Unix.gettimeofday () in
     let r = Conex.Explore.run ~config w in
-    (r, Unix.gettimeofday () -. t0)
+    (r, Unix.gettimeofday () -. t0, hits () - h0)
   in
-  let serial, t_serial = run_at 1 in
+  let serial, t_serial, serial_hits = run_at 1 in
   let t =
     Mx_util.Table.create
-      ~headers:[ "jobs"; "wall [s]"; "speedup"; "identical to serial" ]
+      ~headers:
+        [ "jobs"; "wall [s]"; "speedup"; "eval.cache.hits"; "identical to serial" ]
   in
   List.iter
     (fun jobs ->
-      let r, secs = if jobs = 1 then (serial, t_serial) else run_at jobs in
+      let r, secs, hits =
+        if jobs = 1 then (serial, t_serial, serial_hits) else run_at jobs
+      in
       let speedup = t_serial /. Float.max 1e-9 secs in
       (* the determinism guarantee: same designs, same order, same front *)
       let identical =
@@ -145,13 +156,20 @@ let scaling ?(jobs_levels = [ 1; 2; 4 ]) () =
           string_of_int jobs;
           Printf.sprintf "%.2f" secs;
           Printf.sprintf "%.2fx" speedup;
+          string_of_int hits;
           (if identical then "yes" else "NO");
         ];
       Json_out.record_scaling ~bench:"explore:compress-40k" ~jobs
         ~wall_seconds:secs ~speedup;
       Experiments.check
         (Printf.sprintf "jobs=%d results byte-identical to serial" jobs)
-        identical)
+        identical;
+      Experiments.check
+        (Printf.sprintf "jobs=%d ran cold (eval.cache.hits = %d)" jobs hits)
+        (hits = 0);
+      Experiments.check
+        (Printf.sprintf "jobs=%d speedup %.2fx <= %d cores" jobs speedup cores)
+        (speedup <= float_of_int cores))
     jobs_levels;
   Mx_util.Table.print t;
   print_newline ()

@@ -76,8 +76,7 @@ let sram_plan cfg (p : Profile.t) =
     take 0 [] indexed
   end
 
-let regions_with cfg (p : Profile.t) pat =
-  ignore cfg;
+let regions_with (p : Profile.t) pat =
   Array.to_list p.Profile.per_region
   |> List.filter_map (fun (s : Profile.region_stats) ->
          if Profile.pattern p s.region = pat then Some s.region else None)
@@ -145,8 +144,8 @@ let build_arch (p : Profile.t) ~cache ~sram_regions ~sram_bytes ~sbuf ~lldma
     ?cache ?sbuf ?lldma ?sram ?l2 ?victim ?wbuf ~bindings ()
 
 let candidates cfg (p : Profile.t) =
-  let streams = regions_with cfg p Region.Stream in
-  let chases = regions_with cfg p Region.Self_indirect in
+  let streams = regions_with p Region.Stream in
+  let chases = regions_with p Region.Self_indirect in
   let sram_regions, sram_bytes = sram_plan cfg p in
   let cache_opts =
     (if cfg.include_no_cache then [ None ] else [])
@@ -221,10 +220,9 @@ let candidates cfg (p : Profile.t) =
         sbuf_opts)
     cache_opts
 
-let evaluate (p : Profile.t) arch =
-  let w = p.Profile.workload in
-  let msim = Mem_sim.create arch ~regions:w.Mx_trace.Workload.regions in
-  let stats = Mem_sim.run msim w.Mx_trace.Workload.trace in
+let metrics = Mx_util.Metrics.global
+
+let candidate arch stats =
   {
     arch;
     cost_gates = Mem_arch.cost_gates arch;
@@ -232,8 +230,23 @@ let evaluate (p : Profile.t) arch =
     profile = stats;
   }
 
-let explore ?(config = default_config) p =
-  List.map (evaluate p) (candidates config p)
+(* Module-level profiles from one compositional sweep: each distinct
+   module chain is simulated once (see {!Mem_sim.run_all}). *)
+let sweep ?jobs (p : Profile.t) archs =
+  let w = p.Profile.workload in
+  Mem_sim.run_all ?jobs ~regions:w.Mx_trace.Workload.regions
+    w.Mx_trace.Workload.trace archs
+
+let evaluate p arch =
+  candidate arch (List.hd (sweep ~jobs:1 p [ arch ]).Mem_sim.stats)
+
+let explore ?(config = default_config) ?jobs p =
+  let archs = candidates config p in
+  let s = sweep ?jobs p archs in
+  Mx_util.Metrics.incr metrics ~by:(List.length archs) "apex.candidates";
+  Mx_util.Metrics.incr metrics ~by:s.Mem_sim.chains "apex.chains";
+  Mx_util.Metrics.incr metrics ~by:s.Mem_sim.replayed "apex.accesses";
+  List.map2 candidate archs s.Mem_sim.stats
 
 let pareto cands =
   Mx_util.Pareto.front2
@@ -250,8 +263,12 @@ let is_traditional (c : candidate) =
   && c.arch.Mem_arch.victim = None
   && c.arch.Mem_arch.wbuf = None
 
-let select ?(config = default_config) p =
-  let all = explore ~config p in
+let select ?(config = default_config) ?jobs p =
+  let all =
+    Mx_util.Metrics.with_span metrics "apex.evaluate" (fun () ->
+        explore ~config ?jobs p)
+  in
+  Mx_util.Metrics.with_span metrics "apex.pareto" @@ fun () ->
   let front = pareto all in
   (* The paper excludes "designs exhibiting very bad performance (many
      times worse than the best designs)" from further exploration; keep

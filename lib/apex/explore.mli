@@ -53,18 +53,30 @@ val candidates : config -> Mx_trace.Profile.t -> Mx_mem.Mem_arch.t list
 val evaluate :
   Mx_trace.Profile.t -> Mx_mem.Mem_arch.t -> candidate
 (** Replay the trace through the architecture's modules (simple
-    connectivity assumed) and measure cost and miss ratio. *)
+    connectivity assumed) and measure cost and miss ratio: the
+    single-architecture case of {!explore}, on one domain and without
+    touching the [apex.*] counters. *)
 
-val explore : ?config:config -> Mx_trace.Profile.t -> candidate list
-(** [candidates] + [evaluate] for each, in enumeration order. *)
+val explore :
+  ?config:config -> ?jobs:int -> Mx_trace.Profile.t -> candidate list
+(** [candidates] + [evaluate] for each, in enumeration order, computed
+    by one {!Mx_mem.Mem_sim.run_all} sweep: each distinct module chain
+    is simulated once, on [jobs] domains (default
+    {!Mx_util.Task_pool.default_jobs}); the result does not depend on
+    [jobs].  Counts [apex.candidates], [apex.chains] (distinct chains
+    simulated) and [apex.accesses] (accesses replayed) in
+    {!Mx_util.Metrics.global}. *)
 
 val pareto : candidate list -> candidate list
 (** Cost/miss-ratio pareto front, sorted by increasing cost. *)
 
-val select : ?config:config -> Mx_trace.Profile.t -> candidate list
-(** The full APEX stage: explore, prune to the pareto front, drop
-    designs "many times worse than the best" (the paper's own filter),
-    and thin to [max_selected] representative points (always keeping
-    both extremes).  A traditional cache-only architecture is always
+val select :
+  ?config:config -> ?jobs:int -> Mx_trace.Profile.t -> candidate list
+(** The full APEX stage: explore (span [apex.evaluate]), prune to the
+    pareto front, drop designs "many times worse than the best" (the
+    paper's own filter), and thin to [max_selected] representative
+    points (always keeping both extremes).  A traditional cache-only architecture is always
     included as the baseline — the paper's designs a/b — so the result
-    may hold [max_selected + 1] entries.  This is the input to ConEx. *)
+    may hold [max_selected + 1] entries; everything after the
+    evaluation runs under the span [apex.pareto].  This is the input to
+    ConEx. *)

@@ -193,3 +193,88 @@ let pipeline g ~size =
   let profile = Mx_mem.Mem_sim.run msim w.Mx_trace.Workload.trace in
   let brg = Mx_connect.Brg.build arch profile in
   { p_workload = w; p_arch = arch; p_profile = profile; p_brg = brg }
+
+(* -- compositional module simulation ------------------------------------ *)
+
+let subset g l = List.filter (fun _ -> Prng.bool g ~p:0.4) l
+
+let apex_config g =
+  let caches =
+    subset g Mx_mem.Module_lib.caches
+    |> List.map (fun c ->
+           if Prng.bool g ~p:0.3 then
+             Mx_mem.Module_lib.with_policy (repl_policy g) c
+           else c)
+  in
+  {
+    Mx_apex.Explore.caches;
+    include_no_cache = Prng.bool g ~p:0.5;
+    sbufs = subset g Mx_mem.Module_lib.stream_buffers;
+    lldmas = subset g Mx_mem.Module_lib.lldmas;
+    l2s = subset g Mx_mem.Module_lib.l2_caches;
+    victims = subset g Mx_mem.Module_lib.victims;
+    write_buffers = subset g Mx_mem.Module_lib.write_buffers;
+    sram_budget = Prng.pick g [| 0; 8 * 1024; 16 * 1024 |];
+    max_selected = 1 + Prng.int g ~bound:5;
+  }
+
+let mem_arch_mix g (w : Mx_trace.Workload.t) =
+  let regions = w.Mx_trace.Workload.regions in
+  let cache =
+    if Prng.bool g ~p:0.7 then
+      Some { (cache g) with Params.c_policy = repl_policy g }
+    else None
+  in
+  let victim, l2 =
+    match cache with
+    | None -> (None, None)
+    | Some _ ->
+      ( (if Prng.bool g ~p:0.4 then
+           Some { Params.v_entries = 1 + Prng.int g ~bound:8; v_latency = 1 }
+         else None),
+        if Prng.bool g ~p:0.3 then Some (List.hd Mx_mem.Module_lib.l2_caches)
+        else None )
+  in
+  (* a write buffer behind a cache is never consulted; generating it
+     anyway checks that it does not leak into the cache chain *)
+  let wbuf =
+    if Prng.bool g ~p:0.5 then
+      Some
+        { Params.wb_entries = 1 + Prng.int g ~bound:4;
+          wb_drain = 1 + Prng.int g ~bound:8 }
+    else None
+  and sbuf =
+    if Prng.bool g ~p:0.4 then
+      Some (Prng.pick g (Array.of_list Mx_mem.Module_lib.stream_buffers))
+    else None
+  and lldma =
+    if Prng.bool g ~p:0.5 then
+      Some
+        { (Prng.pick g (Array.of_list Mx_mem.Module_lib.lldmas)) with
+          Params.ll_max_gap = 1 + Prng.int g ~bound:8 }
+    else None
+  and want_sram = Prng.bool g ~p:0.3 in
+  let targets =
+    Array.of_list
+      (List.concat
+         [
+           [ Mem_arch.To_cache ];
+           (if sbuf <> None then [ Mem_arch.To_sbuf ] else []);
+           (if lldma <> None then [ Mem_arch.To_lldma ] else []);
+           (if want_sram then [ Mem_arch.To_sram ] else []);
+         ])
+  in
+  let bindings = Array.make (List.length regions) Mem_arch.To_cache in
+  let sram_bytes = ref 0 in
+  List.iter
+    (fun (r : Region.t) ->
+      let b = Prng.pick g targets in
+      bindings.(r.Region.id) <- b;
+      if b = Mem_arch.To_sram then sram_bytes := !sram_bytes + r.Region.size)
+    regions;
+  let sram =
+    if !sram_bytes > 0 then Some (Mx_mem.Module_lib.sram_for_bytes !sram_bytes)
+    else None
+  in
+  Mem_arch.make ~label:"mix" ?cache ?victim ?l2 ?wbuf ?sbuf ?lldma ?sram
+    ~bindings ()

@@ -89,3 +89,18 @@ type pipeline = {
 val pipeline : Mx_util.Prng.t -> size:int -> pipeline
 (** Workload + architecture + module-level profile + BRG, the common
     prefix of the simulation and evaluation suites. *)
+
+val apex_config : Mx_util.Prng.t -> Mx_apex.Explore.config
+(** A random APEX configuration: a random subset of every
+    {!Mx_mem.Module_lib} catalogue (some caches re-policied at random),
+    with or without cache-less candidates, and a scratchpad budget of 0,
+    8 KB or 16 KB. *)
+
+val mem_arch_mix :
+  Mx_util.Prng.t -> Mx_trace.Workload.t -> Mx_mem.Mem_arch.t
+(** A random valid architecture mixing every module kind: an optional
+    cache (any policy) with optional victim buffer and L2, an optional
+    write buffer (also behind a cache, where it is never consulted),
+    stream buffer, LL-DMA with a random [ll_max_gap] and scratchpad;
+    each region is bound to a random present target, ignoring its
+    hint.  Unlike {!mem_arch} it may carry an L2. *)

@@ -524,3 +524,52 @@ let spearman_distinct xs ys =
       0.0 xs ys
   in
   1.0 -. (6.0 *. d2 /. (float_of_int n *. float_of_int ((n * n) - 1)))
+
+(* -- module-level stats ------------------------------------------------- *)
+
+let mem_run arch (w : Mx_trace.Workload.t) =
+  Mem_sim.run
+    (Mem_sim.create arch ~regions:w.Mx_trace.Workload.regions)
+    w.Mx_trace.Workload.trace
+
+let serving_name = function
+  | Mem_sim.By_cache -> "cache"
+  | Mem_sim.By_sram -> "sram"
+  | Mem_sim.By_sbuf -> "sbuf"
+  | Mem_sim.By_lldma -> "lldma"
+  | Mem_sim.By_dram_direct -> "dram_direct"
+
+let mem_stats_mismatch (a : Mem_sim.stats) (b : Mem_sim.stats) =
+  let open Mem_sim in
+  let scalars =
+    [
+      ("accesses", a.accesses, b.accesses);
+      ("on_chip_hits", a.on_chip_hits, b.on_chip_hits);
+      ("demand_misses", a.demand_misses, b.demand_misses);
+      ("dram_bytes_total", a.dram_bytes_total, b.dram_bytes_total);
+      ("victim_hits", a.victim_hits, b.victim_hits);
+      ("wbuf_stalls", a.wbuf_stalls, b.wbuf_stalls);
+      ("l2_accesses", a.l2_accesses, b.l2_accesses);
+      ("l2_hits", a.l2_hits, b.l2_hits);
+      ("l2_bytes_total", a.l2_bytes_total, b.l2_bytes_total);
+      ("l2_txns_total", a.l2_txns_total, b.l2_txns_total);
+    ]
+  and per_serving =
+    List.concat_map
+      (fun sv ->
+        List.map
+          (fun (name, f, g) ->
+            (Printf.sprintf "%s(%s)" name (serving_name sv), f sv, g sv))
+          [
+            ("cpu_bytes", a.cpu_bytes, b.cpu_bytes);
+            ("cpu_accesses", a.cpu_accesses, b.cpu_accesses);
+            ("dram_bytes_by", a.dram_bytes_by, b.dram_bytes_by);
+            ("dram_txns_by", a.dram_txns_by, b.dram_txns_by);
+            ("demand_misses_by", a.demand_misses_by, b.demand_misses_by);
+          ])
+      Serving.all
+  in
+  List.find_map
+    (fun (name, x, y) ->
+      if x = y then None else Some (Printf.sprintf "%s %d <> %d" name x y))
+    (per_serving @ scalars)

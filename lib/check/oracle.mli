@@ -107,3 +107,16 @@ val spearman_distinct : float list -> float list -> float
 (** Closed-form Spearman [1 - 6 sum d^2 / (n (n^2 - 1))] over integer
     ranks; only valid when each list's values are pairwise distinct —
     the tie-free specification of {!Mx_util.Stats.spearman}. *)
+
+val mem_run : Mx_mem.Mem_arch.t -> Mx_trace.Workload.t -> Mx_mem.Mem_sim.stats
+(** Monolithic module-level replay: a fresh {!Mx_mem.Mem_sim.create}
+    for the one architecture, {!Mx_mem.Mem_sim.run} over the whole
+    trace — the reference for the compositional
+    {!Mx_mem.Mem_sim.run_all}. *)
+
+val mem_stats_mismatch :
+  Mx_mem.Mem_sim.stats -> Mx_mem.Mem_sim.stats -> string option
+(** The first field where two module-level stats differ, per-serving
+    fields first (so the message names the serving class, e.g.
+    ["demand_misses_by(lldma) 3 <> 5"]) and then the scalar totals;
+    [None] when they agree everywhere. *)

@@ -40,14 +40,27 @@
                     its data, torn tails lose only the uncommitted
                     record, corrupt records and everything behind
                     them are quarantined
+    - [apex]        the compositional module simulation:
+                    {!Mx_mem.Mem_sim.run_all} equals a monolithic
+                    {!Mx_mem.Mem_sim.run} per architecture, field by
+                    field over every serving class, for every APEX
+                    candidate of random configurations (catalogue
+                    subsets, replacement policies, scratchpad budget
+                    0/8K/16K) and for random mixed architectures
+                    (cache with victim/L2/write buffer, LL-DMA beside
+                    a write buffer, repeats); stats and work counts
+                    identical at jobs=1 and jobs=N
 
-    Three hidden suites (reachable by name, excluded from {!all}) carry
+    Four hidden suites (reachable by name, excluded from {!all}) carry
     intentionally broken oracle comparisons used by the CLI contract
     tests to exercise the failure path end to end — counterexample
     found, shrunk, reproduction line printed, exit 1: [selftest]
     (sample-variance stddev oracle), [replacement-selftest] (a
-    promotion-blind true-LRU oracle) and [persist-selftest] (digest
-    verification disabled over a corrupted store). *)
+    promotion-blind true-LRU oracle), [persist-selftest] (digest
+    verification disabled over a corrupted store) and [apex-selftest]
+    (chains replayed with sub-trace positions instead of original trace
+    indices as [now], caught through an LL-DMA or write-buffer
+    chain). *)
 
 val names : string list
 (** The public suite names, in the order {!all} runs them. *)
@@ -58,5 +71,6 @@ val all : ?jobs:int -> unit -> (string * Runner.prop list) list
     by the jobs-parity properties of the [explore] suite. *)
 
 val find : ?jobs:int -> string -> Runner.prop list option
-(** Look up one suite by name; resolves the hidden [selftest] and
-    [replacement-selftest] suites too. *)
+(** Look up one suite by name; resolves the hidden [selftest],
+    [replacement-selftest], [persist-selftest] and [apex-selftest]
+    suites too. *)

@@ -401,8 +401,11 @@ let run ?(config = default_config) ?(interrupt = never) workload =
   let apex_selected =
     Mx_util.Snapshot.set_phase "apex.select";
     Mx_util.Metrics.with_span metrics "apex.select" (fun () ->
-        let profile = Mx_trace.Profile.analyze workload in
-        Mx_apex.Explore.select ~config:config.apex profile)
+        let profile =
+          Mx_util.Metrics.with_span metrics "apex.profile" (fun () ->
+              Mx_trace.Profile.analyze workload)
+        in
+        Mx_apex.Explore.select ~config:config.apex ~jobs:config.jobs profile)
   in
   Mx_util.Metrics.incr metrics ~by:(List.length apex_selected)
     "explore.architectures";

@@ -93,7 +93,8 @@ let run ?(config = Explore.default_config) ?(neighbors = 2)
     let profile = Mx_trace.Profile.analyze workload in
     (* widen the memory-architecture net: the full APEX pareto front *)
     let apex_front =
-      Mx_apex.Explore.explore ~config:config.Explore.apex profile
+      Mx_apex.Explore.explore ~config:config.Explore.apex
+        ~jobs:config.Explore.jobs profile
       |> Mx_apex.Explore.pareto
     in
     (* one shard queue across every front architecture *)
@@ -131,7 +132,8 @@ let run ?(config = Explore.default_config) ?(neighbors = 2)
   | Full ->
     let profile = Mx_trace.Profile.analyze workload in
     let all_archs =
-      Mx_apex.Explore.explore ~config:config.Explore.apex profile
+      Mx_apex.Explore.explore ~config:config.Explore.apex
+        ~jobs:config.Explore.jobs profile
     in
     (* project the simulation count before committing *)
     let per_arch =

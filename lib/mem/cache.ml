@@ -1,6 +1,10 @@
 type t = {
   p : Params.cache;
   sets : int;
+  (* line size and set count are powers of two (Params.validate_cache),
+     so an address splits into line, set and tag with shifts and a mask *)
+  line_shift : int;
+  set_shift : int;
   tags : int array; (* sets * assoc; -1 = invalid *)
   dirty : bool array;
   repl : Replacement.t array; (* one policy state per set *)
@@ -15,9 +19,12 @@ let create p =
   Params.validate_cache p;
   let sets = p.Params.c_size / p.Params.c_line / p.Params.c_assoc in
   let ways = sets * p.Params.c_assoc in
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
   {
     p;
     sets;
+    line_shift = log2 p.Params.c_line;
+    set_shift = log2 sets;
     tags = Array.make ways (-1);
     dirty = Array.make ways false;
     repl =
@@ -32,9 +39,9 @@ let params t = t.p
 
 let access t ~addr ~write =
   t.n_access <- t.n_access + 1;
-  let line = addr / t.p.Params.c_line in
-  let set = line mod t.sets in
-  let tag = line / t.sets in
+  let line = addr lsr t.line_shift in
+  let set = line land (t.sets - 1) in
+  let tag = line lsr t.set_shift in
   let base = set * t.p.Params.c_assoc in
   let assoc = t.p.Params.c_assoc in
   let repl = t.repl.(set) in

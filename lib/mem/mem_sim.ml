@@ -47,20 +47,25 @@ let serving_index = function
   | By_lldma -> 3
   | By_dram_direct -> 4
 
-let create (arch : Mem_arch.t) ~regions =
+let check_regions (arch : Mem_arch.t) regions =
   List.iter
     (fun (r : Mx_trace.Region.t) ->
       if r.id >= Array.length arch.Mem_arch.bindings then
         invalid_arg "Mem_sim.create: region id outside binding table")
-    regions;
+    regions
+
+(* Fresh state routing through [arch]'s bindings but instantiating only
+   the given modules: the whole architecture for [create], one module
+   chain for [run_all]. *)
+let instantiate (arch : Mem_arch.t) ~cache ~l2 ~sbuf ~lldma ~victim ~wbuf =
   {
     arch;
-    cache = Option.map Cache.create arch.Mem_arch.cache;
-    l2 = Option.map Cache.create arch.Mem_arch.l2;
-    sbuf = Option.map Stream_buffer.create arch.Mem_arch.sbuf;
-    lldma = Option.map Lldma.create arch.Mem_arch.lldma;
-    victim = Option.map Victim_cache.create arch.Mem_arch.victim;
-    wbuf = Option.map Write_buffer.create arch.Mem_arch.wbuf;
+    cache = Option.map Cache.create cache;
+    l2 = Option.map Cache.create l2;
+    sbuf = Option.map Stream_buffer.create sbuf;
+    lldma = Option.map Lldma.create lldma;
+    victim = Option.map Victim_cache.create victim;
+    wbuf = Option.map Write_buffer.create wbuf;
     dram = Dram.create Module_lib.default_dram;
     cpu_acc = Array.make 5 0;
     cpu_cnt = Array.make 5 0;
@@ -78,6 +83,12 @@ let create (arch : Mem_arch.t) ~regions =
     l2_bytes_acc = 0;
     l2_txns_acc = 0;
   }
+
+let create (arch : Mem_arch.t) ~regions =
+  check_regions arch regions;
+  instantiate arch ~cache:arch.Mem_arch.cache ~l2:arch.Mem_arch.l2
+    ~sbuf:arch.Mem_arch.sbuf ~lldma:arch.Mem_arch.lldma
+    ~victim:arch.Mem_arch.victim ~wbuf:arch.Mem_arch.wbuf
 
 let arch t = t.arch
 let dram t = t.dram
@@ -98,16 +109,29 @@ let record t serving ~size ~(o : outcome) =
   t.l2_txns_acc <- t.l2_txns_acc + o.l2_txns;
   t.dram_total <- t.dram_total + o.dram_bytes
 
+(* Built in one allocation: a miss is a third of the accesses of a
+   typical cache chain. *)
+let outcome serving ~hit ~dram_bytes ~dram_txns ~dram_critical ~l2_bytes
+    ~l2_txns ~l2_critical ~extra_latency ~extra_energy =
+  { serving; hit; dram_bytes; dram_txns; dram_critical; l2_bytes; l2_txns;
+    l2_critical; extra_latency; extra_energy }
+
 let base serving ~hit ~dram_bytes ~dram_txns ~dram_critical =
-  { serving; hit; dram_bytes; dram_txns; dram_critical; l2_bytes = 0;
-    l2_txns = 0; l2_critical = false; extra_latency = 0; extra_energy = 0.0 }
+  outcome serving ~hit ~dram_bytes ~dram_txns ~dram_critical ~l2_bytes:0
+    ~l2_txns:0 ~l2_critical:false ~extra_latency:0 ~extra_energy:0.0
+
+(* The two most frequent outcomes, shared so a hit allocates nothing *)
+let sram_hit =
+  base By_sram ~hit:true ~dram_bytes:0 ~dram_txns:0 ~dram_critical:false
+
+let cache_hit =
+  base By_cache ~hit:true ~dram_bytes:0 ~dram_txns:0 ~dram_critical:false
 
 let access t ~now ~addr ~size ~write ~region =
   let binding = Mem_arch.binding_of t.arch ~region in
   let o =
     match binding with
-    | Mem_arch.To_sram ->
-      base By_sram ~hit:true ~dram_bytes:0 ~dram_txns:0 ~dram_critical:false
+    | Mem_arch.To_sram -> sram_hit
     | Mem_arch.To_sbuf ->
       let sb = Option.get t.sbuf in
       let r = Stream_buffer.access sb ~addr ~write in
@@ -143,21 +167,16 @@ let access t ~now ~addr ~size ~write ~region =
         | Some v, Some el when not r.Cache.writeback ->
           Victim_cache.insert v ~line:el
         | _ -> ());
-        if r.Cache.hit then
-          base By_cache ~hit:true ~dram_bytes:0 ~dram_txns:0
-            ~dram_critical:false
+        if r.Cache.hit then cache_hit
         else
           match t.victim with
           | Some v when Victim_cache.probe v ~line:(addr / line) ->
             (* conflict miss recovered on-chip: swap back, no DRAM *)
             t.n_victim_hit <- t.n_victim_hit + 1;
-            {
-              (base By_cache ~hit:true ~dram_bytes:0 ~dram_txns:0
-                 ~dram_critical:false)
-              with
-              extra_latency = (Victim_cache.params v).Params.v_latency;
-              extra_energy = Energy_model.victim_probe;
-            }
+            outcome By_cache ~hit:true ~dram_bytes:0 ~dram_txns:0
+              ~dram_critical:false ~l2_bytes:0 ~l2_txns:0 ~l2_critical:false
+              ~extra_latency:(Victim_cache.params v).Params.v_latency
+              ~extra_energy:Energy_model.victim_probe
           | victim_opt -> (
             let probe_energy =
               if victim_opt <> None then Energy_model.victim_probe else 0.0
@@ -165,13 +184,10 @@ let access t ~now ~addr ~size ~write ~region =
             let wb = if r.Cache.writeback then line else 0 in
             match t.l2 with
             | None ->
-              {
-                (base By_cache ~hit:false ~dram_bytes:(line + wb)
-                   ~dram_txns:(if r.Cache.writeback then 2 else 1)
-                   ~dram_critical:true)
-                with
-                extra_energy = probe_energy;
-              }
+              outcome By_cache ~hit:false ~dram_bytes:(line + wb)
+                ~dram_txns:(if r.Cache.writeback then 2 else 1)
+                ~dram_critical:true ~l2_bytes:0 ~l2_txns:0 ~l2_critical:false
+                ~extra_latency:0 ~extra_energy:probe_energy
             | Some l2 ->
               let l2_line = (Cache.params l2).Params.c_line in
               t.n_l2_access <- t.n_l2_access + 1;
@@ -196,15 +212,12 @@ let access t ~now ~addr ~size ~write ~region =
               in
               if dr.Cache.hit then begin
                 t.n_l2_hit <- t.n_l2_hit + 1;
-                {
-                  (base By_cache ~hit:true ~dram_bytes:!wb_dram_bytes
-                     ~dram_txns:!wb_dram_txns ~dram_critical:false)
-                  with
-                  l2_bytes = line + wb;
-                  l2_txns = (if wb > 0 then 2 else 1);
-                  l2_critical = true;
-                  extra_energy = probe_energy +. l2_energy;
-                }
+                outcome By_cache ~hit:true ~dram_bytes:!wb_dram_bytes
+                  ~dram_txns:!wb_dram_txns ~dram_critical:false
+                  ~l2_bytes:(line + wb)
+                  ~l2_txns:(if wb > 0 then 2 else 1)
+                  ~l2_critical:true ~extra_latency:0
+                  ~extra_energy:(probe_energy +. l2_energy)
               end
               else begin
                 let dram = ref (l2_line + !wb_dram_bytes)
@@ -213,15 +226,11 @@ let access t ~now ~addr ~size ~write ~region =
                   dram := !dram + l2_line;
                   incr txns
                 end;
-                {
-                  (base By_cache ~hit:false ~dram_bytes:!dram ~dram_txns:!txns
-                     ~dram_critical:true)
-                  with
-                  l2_bytes = line + wb;
-                  l2_txns = (if wb > 0 then 2 else 1);
-                  l2_critical = true;
-                  extra_energy = probe_energy +. l2_energy;
-                }
+                outcome By_cache ~hit:false ~dram_bytes:!dram ~dram_txns:!txns
+                  ~dram_critical:true ~l2_bytes:(line + wb)
+                  ~l2_txns:(if wb > 0 then 2 else 1)
+                  ~l2_critical:true ~extra_latency:0
+                  ~extra_energy:(probe_energy +. l2_energy)
               end))
       | None -> (
         (* no cache: direct off-chip access, optionally through the
@@ -232,23 +241,17 @@ let access t ~now ~addr ~size ~write ~region =
           if write then (
             match Write_buffer.write wb ~now ~line:line16 with
             | `Absorbed | `Coalesced ->
-              {
-                (base By_dram_direct ~hit:false ~dram_bytes:size ~dram_txns:1
-                   ~dram_critical:false)
-                with
-                extra_energy = Energy_model.write_buffer_access;
-              }
+              outcome By_dram_direct ~hit:false ~dram_bytes:size ~dram_txns:1
+                ~dram_critical:false ~l2_bytes:0 ~l2_txns:0 ~l2_critical:false
+                ~extra_latency:0 ~extra_energy:Energy_model.write_buffer_access
             | `Stall ->
               t.n_wbuf_stall <- t.n_wbuf_stall + 1;
               base By_dram_direct ~hit:false ~dram_bytes:size ~dram_txns:1
                 ~dram_critical:true)
           else if Write_buffer.read_forward wb ~now ~line:line16 then
-            {
-              (base By_dram_direct ~hit:true ~dram_bytes:0 ~dram_txns:0
-                 ~dram_critical:false)
-              with
-              extra_energy = Energy_model.write_buffer_access;
-            }
+            outcome By_dram_direct ~hit:true ~dram_bytes:0 ~dram_txns:0
+              ~dram_critical:false ~l2_bytes:0 ~l2_txns:0 ~l2_critical:false
+              ~extra_latency:0 ~extra_energy:Energy_model.write_buffer_access
           else
             base By_dram_direct ~hit:false ~dram_bytes:size ~dram_txns:1
               ~dram_critical:true
@@ -299,13 +302,218 @@ let snapshot t =
     l2_txns_total = t.l2_txns_acc;
   }
 
-let run t trace =
-  let i = ref 0 in
-  Mx_trace.Trace.iter_packed trace ~f:(fun ~addr ~size ~kind ~region ->
-      let write = kind = Mx_trace.Access.Write in
-      ignore (access t ~now:!i ~addr ~size ~write ~region);
-      incr i);
+(* The one replay loop: route the accesses at trace positions [idx]
+   (every position when absent), in order, access [i] at [~now:i]. *)
+let replay ?idx t trace =
+  let addrs, metas = Mx_trace.Trace.backing trace in
+  let n =
+    match idx with Some a -> Array.length a | None -> Mx_trace.Trace.length trace
+  in
+  for k = 0 to n - 1 do
+    let i = match idx with Some a -> a.(k) | None -> k in
+    let meta = metas.(i) in
+    ignore
+      (access t ~now:i ~addr:addrs.(i) ~size:(Mx_trace.Trace.meta_size meta)
+         ~write:(Mx_trace.Trace.meta_kind meta = Mx_trace.Access.Write)
+         ~region:(Mx_trace.Trace.meta_region meta))
+  done;
   snapshot t
+
+let run t trace = replay t trace
+
+(* -- compositional sweep ------------------------------------------------- *)
+
+(* The modules [access] touches for a region.  A chain reads no other
+   chain's state and never the shared [Dram.t], so its sub-result depends
+   only on its parameters and on the accesses of the regions bound to
+   it, replayed at their original trace index (Lldma and Write_buffer
+   read [now]).  A module whose [access] reads another chain's state
+   must widen this key. *)
+type chain =
+  | Cache_chain of Params.cache * Params.victim option * Params.cache option
+  | Sram_chain
+  | Sbuf_chain of Params.stream_buffer
+  | Lldma_chain of Params.lldma
+  | Direct_chain of Params.write_buffer option
+
+let chain_of (arch : Mem_arch.t) = function
+  | Mem_arch.To_sram -> Sram_chain
+  | Mem_arch.To_sbuf -> Sbuf_chain (Option.get arch.Mem_arch.sbuf)
+  | Mem_arch.To_lldma -> Lldma_chain (Option.get arch.Mem_arch.lldma)
+  | Mem_arch.To_cache -> (
+    match arch.Mem_arch.cache with
+    | Some c -> Cache_chain (c, arch.Mem_arch.victim, arch.Mem_arch.l2)
+    | None -> Direct_chain arch.Mem_arch.wbuf)
+
+(* [arch]'s chains with their bound region ids, in first-occurrence
+   order. *)
+let chains_of (arch : Mem_arch.t) =
+  let acc = ref [] in
+  Array.iteri
+    (fun r b ->
+      let c = chain_of arch b in
+      match List.assoc_opt c !acc with
+      | Some rs -> rs := r :: !rs
+      | None -> acc := (c, ref [ r ]) :: !acc)
+    arch.Mem_arch.bindings;
+  List.rev_map (fun (c, rs) -> (c, List.rev !rs)) !acc
+
+let instantiate_chain arch chain =
+  let sim ?cache ?l2 ?sbuf ?lldma ?victim ?wbuf () =
+    instantiate arch ~cache ~l2 ~sbuf ~lldma ~victim ~wbuf
+  in
+  match chain with
+  | Cache_chain (c, victim, l2) -> sim ~cache:c ?victim ?l2 ()
+  | Sram_chain -> sim ()
+  | Sbuf_chain sb -> sim ~sbuf:sb ()
+  | Lldma_chain ll -> sim ~lldma:ll ()
+  | Direct_chain wbuf -> sim ?wbuf ()
+
+(* Trace positions whose region is in [regions], ascending, with their
+   count; [None] when that is every position. *)
+let positions metas ~len ~max_region regions =
+  let mask = Array.make (max_region + 1) false in
+  List.iter (fun r -> if r <= max_region then mask.(r) <- true) regions;
+  let n = ref 0 in
+  for i = 0 to len - 1 do
+    if mask.(Mx_trace.Trace.meta_region metas.(i)) then incr n
+  done;
+  if !n = len then (len, None)
+  else begin
+    let idx = Array.make !n 0 and k = ref 0 in
+    for i = 0 to len - 1 do
+      if mask.(Mx_trace.Trace.meta_region metas.(i)) then begin
+        idx.(!k) <- i;
+        incr k
+      end
+    done;
+    (!n, Some idx)
+  end
+
+let all_servings = [| By_cache; By_sram; By_sbuf; By_lldma; By_dram_direct |]
+
+let zero_stats =
+  {
+    accesses = 0; on_chip_hits = 0; demand_misses = 0; dram_bytes_total = 0;
+    cpu_bytes = (fun _ -> 0); cpu_accesses = (fun _ -> 0);
+    dram_bytes_by = (fun _ -> 0); dram_txns_by = (fun _ -> 0);
+    demand_misses_by = (fun _ -> 0); victim_hits = 0; wbuf_stalls = 0;
+    l2_accesses = 0; l2_hits = 0; l2_bytes_total = 0; l2_txns_total = 0;
+  }
+
+let add_stats a b =
+  let by f g =
+    let v = Array.map (fun s -> f s + g s) all_servings in
+    fun s -> v.(serving_index s)
+  in
+  {
+    accesses = a.accesses + b.accesses;
+    on_chip_hits = a.on_chip_hits + b.on_chip_hits;
+    demand_misses = a.demand_misses + b.demand_misses;
+    dram_bytes_total = a.dram_bytes_total + b.dram_bytes_total;
+    cpu_bytes = by a.cpu_bytes b.cpu_bytes;
+    cpu_accesses = by a.cpu_accesses b.cpu_accesses;
+    dram_bytes_by = by a.dram_bytes_by b.dram_bytes_by;
+    dram_txns_by = by a.dram_txns_by b.dram_txns_by;
+    demand_misses_by = by a.demand_misses_by b.demand_misses_by;
+    victim_hits = a.victim_hits + b.victim_hits;
+    wbuf_stalls = a.wbuf_stalls + b.wbuf_stalls;
+    l2_accesses = a.l2_accesses + b.l2_accesses;
+    l2_hits = a.l2_hits + b.l2_hits;
+    l2_bytes_total = a.l2_bytes_total + b.l2_bytes_total;
+    l2_txns_total = a.l2_txns_total + b.l2_txns_total;
+  }
+
+type sweep = { stats : stats list; chains : int; replayed : int }
+
+(* [replay_chain sim idx] replays one chain's fresh state over the
+   positions [idx] of [trace] (every position when [None]). *)
+let sweep ~replay_chain ~jobs ~regions trace archs =
+  let _, metas = Mx_trace.Trace.backing trace in
+  let len = Mx_trace.Trace.length trace in
+  let max_region = ref (-1) in
+  for i = 0 to len - 1 do
+    max_region := max !max_region (Mx_trace.Trace.meta_region metas.(i))
+  done;
+  let max_region = !max_region in
+  (* 1. key every architecture's chains; the first architecture to use
+     a (chain, region set) key simulates it *)
+  let keys = Hashtbl.create 64 and work = ref [] and n_work = ref 0 in
+  let replayed = ref 0 in
+  let idx_of = Hashtbl.create 16 in
+  let plans =
+    List.map
+      (fun (arch : Mem_arch.t) ->
+        check_regions arch regions;
+        (* out-of-range regions raise exactly as a whole-trace replay *)
+        if max_region >= 0 then
+          ignore (Mem_arch.binding_of arch ~region:max_region);
+        List.filter_map
+          (fun ((chain, rs) as key) ->
+            match Hashtbl.find_opt keys key with
+            | Some slot -> slot
+            | None ->
+              (* 2. one index array per distinct region set *)
+              let n, idx =
+                match Hashtbl.find_opt idx_of rs with
+                | Some p -> p
+                | None ->
+                  let p = positions metas ~len ~max_region rs in
+                  Hashtbl.add idx_of rs p;
+                  p
+              in
+              let slot =
+                if n = 0 then None
+                else begin
+                  work := (arch, chain, idx) :: !work;
+                  incr n_work;
+                  replayed := !replayed + n;
+                  Some (!n_work - 1)
+                end
+              in
+              Hashtbl.add keys key slot;
+              slot)
+          (chains_of arch))
+      archs
+  in
+  let work = List.rev !work in
+  (* 3. each distinct chain once, on the task pool *)
+  let results =
+    Mx_util.Task_pool.parallel_map ~jobs ~chunk:1
+      (fun (arch, chain, idx) ->
+        replay_chain (instantiate_chain arch chain) idx)
+      work
+    |> Array.of_list
+  in
+  (* 4. a candidate's stats are the sum of its chains' *)
+  {
+    stats =
+      List.map
+        (List.fold_left (fun acc i -> add_stats acc results.(i)) zero_stats)
+        plans;
+    chains = !n_work;
+    replayed = !replayed;
+  }
+
+let run_all ?(jobs = Mx_util.Task_pool.default_jobs ()) ~regions trace archs =
+  sweep ~jobs ~regions trace archs ~replay_chain:(fun sim idx ->
+      replay ?idx sim trace)
+
+module Testing = struct
+  (* each chain replays a compacted copy of its accesses, so its clock
+     restarts at 0 and counts only that chain's accesses *)
+  let run_all_local_now ?(jobs = 1) ~regions trace archs =
+    let addrs, metas = Mx_trace.Trace.backing trace in
+    let compact idx =
+      let sub = Mx_trace.Trace.create ~capacity:(Array.length idx) () in
+      Array.iter
+        (fun i -> Mx_trace.Trace.add_packed sub ~addr:addrs.(i) ~meta:metas.(i))
+        idx;
+      sub
+    in
+    sweep ~jobs ~regions trace archs ~replay_chain:(fun sim idx ->
+        replay sim (match idx with Some idx -> compact idx | None -> trace))
+end
 
 let miss_ratio s =
   if s.accesses = 0 then 0.0

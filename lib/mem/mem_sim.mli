@@ -80,9 +80,63 @@ val snapshot : t -> stats
 (** Current counters (cheap copy); usable mid-run. *)
 
 val run : t -> Mx_trace.Trace.t -> stats
-(** Convenience: route a whole trace and summarise.  Uses
-    {!Trace.iter_packed}; the per-access outcomes are folded into the
-    stats and not retained. *)
+(** Convenience: route a whole trace and summarise, access [i] at
+    [~now:i]; the per-access outcomes are folded into the stats and not
+    retained. *)
+
+(** {2 Many architectures at once}
+
+    {!access} sends each region to exactly one module chain: the cache
+    (with its optional victim buffer and L2), the SRAM, the stream
+    buffer, the LL-DMA, or direct DRAM (with its optional write buffer
+    when there is no cache).  A chain's state is private: no chain's
+    [access] reads another chain's modules or the shared {!dram}.  So an
+    architecture's stats are the field-wise sum of per-chain
+    sub-results, and a sub-result depends only on the chain's module
+    parameters and on the accesses of the regions bound to it — replayed
+    in trace order with their {e original} trace index as [now], because
+    the LL-DMA and the write buffer read [now].  A new module whose
+    [access] reads another chain's state, or the DRAM model, must add
+    what it reads to the chain key. *)
+
+type sweep = {
+  stats : stats list;
+      (** one per architecture, in input order; each equal, serving by
+          serving, to {!run} over a fresh {!create} *)
+  chains : int;
+      (** distinct (chain parameters, bound region set) pairs simulated;
+          pairs whose regions have no access are not simulated *)
+  replayed : int;  (** accesses replayed over all simulated chains *)
+}
+
+val run_all :
+  ?jobs:int ->
+  regions:Mx_trace.Region.t list ->
+  Mx_trace.Trace.t ->
+  Mem_arch.t list ->
+  sweep
+(** [run_all ~regions trace archs] is [List.map (fun a -> run (create a
+    ~regions) trace) archs], computed by simulating each distinct chain
+    once: chains are keyed in first-occurrence order, one index array is
+    built per distinct region set, the chains run on
+    {!Mx_util.Task_pool.parallel_map} with [jobs] domains (default
+    {!Mx_util.Task_pool.default_jobs}), and each architecture's
+    sub-results are summed.  The result is independent of [jobs].
+    @raise Invalid_argument as {!create} and {!run} would. *)
+
+module Testing : sig
+  val run_all_local_now :
+    ?jobs:int ->
+    regions:Mx_trace.Region.t list ->
+    Mx_trace.Trace.t ->
+    Mem_arch.t list ->
+    sweep
+  (** A deliberately broken {!run_all} that replays each chain with its
+      position in the chain's sub-trace as [now] instead of the original
+      trace index.  Wrong whenever an LL-DMA or write-buffer region
+      interleaves with other chains' accesses; used by the check
+      harness to prove that its comparison catches such a defect. *)
+end
 
 val miss_ratio : stats -> float
 (** Demand misses / accesses — the paper's Fig. 3 Y axis ("accesses to

@@ -22,33 +22,32 @@ let params t = t.p
 
 let probe t ~line =
   t.n_probe <- t.n_probe + 1;
-  let found = ref false in
-  Array.iteri
-    (fun i l ->
-      if (not !found) && l = line then begin
-        found := true;
-        t.lines.(i) <- -1 (* the line returns to the main cache *)
-      end)
-    t.lines;
+  let n = Array.length t.lines in
+  let i = ref 0 and found = ref false in
+  while (not !found) && !i < n do
+    if t.lines.(!i) = line then begin
+      found := true;
+      t.lines.(!i) <- -1 (* the line returns to the main cache *)
+    end
+    else incr i
+  done;
   if !found then t.n_hit <- t.n_hit + 1;
   !found
 
 let insert t ~line =
   t.clock <- t.clock + 1;
-  (* prefer an empty slot, else evict the LRU *)
-  let victim = ref 0 in
-  (try
-     Array.iteri
-       (fun i l ->
-         if l = -1 then begin
-           victim := i;
-           raise Exit
-         end)
-       t.lines;
-     Array.iteri
-       (fun i _ -> if t.stamps.(i) < t.stamps.(!victim) then victim := i)
-       t.lines
-   with Exit -> ());
+  (* prefer the first empty slot, else evict the LRU (lowest index on
+     ties) *)
+  let n = Array.length t.lines in
+  let victim = ref 0 and empty = ref (-1) in
+  for i = n - 1 downto 0 do
+    if t.lines.(i) = -1 then empty := i
+  done;
+  if !empty >= 0 then victim := !empty
+  else
+    for i = 1 to n - 1 do
+      if t.stamps.(i) < t.stamps.(!victim) then victim := i
+    done;
   t.lines.(!victim) <- line;
   t.stamps.(!victim) <- t.clock
 

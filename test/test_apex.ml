@@ -116,6 +116,46 @@ let test_select_single () =
        (fun c -> List.exists (fun b -> label b = label c) banded)
        sel)
 
+(* The compositional sweep on a paper kernel with the full catalogue:
+   every candidate's profile equals its monolithic replay, jobs=1 and
+   jobs=2 agree on the profiles and on the published work counters, and
+   candidates share chains. *)
+let test_compositional_compress () =
+  let p =
+    Mx_trace.Profile.analyze
+      (Mx_trace.Kern_compress.generate ~scale:3000 ~seed:7)
+  in
+  let w = p.Mx_trace.Profile.workload in
+  let run jobs =
+    Helpers.with_global_metrics (fun () ->
+        let cands = Explore.explore ~jobs p in
+        let counter = Mx_util.Metrics.counter_value Mx_util.Metrics.global in
+        let names = [ "apex.candidates"; "apex.chains"; "apex.accesses" ] in
+        (cands, List.map counter names))
+  in
+  let c1, k1 = run 1 and c2, k2 = run 2 in
+  Alcotest.(check (list int)) "counters jobs=1 vs jobs=2" k1 k2;
+  (match k1 with
+  | [ candidates; chains; accesses ] ->
+    Helpers.check_int "apex.candidates" (List.length c1) candidates;
+    Helpers.check_true "chains are shared" (chains < candidates);
+    Helpers.check_true "fewer accesses than one pass per candidate"
+      (accesses < candidates * Mx_trace.Workload.access_count w)
+  | _ -> Alcotest.fail "three counters");
+  List.iter2
+    (fun (a : Explore.candidate) (b : Explore.candidate) ->
+      let label = a.Explore.arch.Mem_arch.label in
+      (match
+         Mx_check.Oracle.mem_stats_mismatch a.Explore.profile
+           (Mx_check.Oracle.mem_run a.Explore.arch w)
+       with
+      | None -> ()
+      | Some m -> Alcotest.failf "%s: composed vs monolithic %s" label m);
+      Helpers.check_true (label ^ " jobs-independent")
+        (Mx_check.Oracle.mem_stats_mismatch a.Explore.profile b.Explore.profile
+        = None))
+    c1 c2
+
 let suite =
   ( "apex",
     [
@@ -128,4 +168,6 @@ let suite =
       Alcotest.test_case "select deterministic" `Slow test_select_deterministic;
       Alcotest.test_case "select band" `Slow test_select_excludes_degenerate;
       Alcotest.test_case "select max_selected=1" `Quick test_select_single;
+      Alcotest.test_case "compositional sweep on compress" `Quick
+        test_compositional_compress;
     ] )

@@ -96,6 +96,27 @@ let test_replacement_selftest_fails () =
            (Runner.repro ~suite:"replacement-selftest" f))
     | fs -> Alcotest.failf "expected one failure, got %d" (List.length fs))
 
+let test_apex_selftest_fails () =
+  (* chains replayed with sub-trace positions as [now] (the hidden
+     broken composition) must be caught through a clock-reading chain,
+     shrunk, and reported with a usable reproduction line *)
+  match Suites.find "apex-selftest" with
+  | None -> Alcotest.fail "apex-selftest suite is not resolvable"
+  | Some props -> (
+    let r = Runner.run_suite ~master:42 ~count:50 ("apex-selftest", props) in
+    match r.Runner.failures with
+    | [ f ] ->
+      Helpers.check_true "divergence is in an LL-DMA or write-buffer chain"
+        (Test_metrics.contains ~needle:"(lldma)" f.Runner.message
+        || Test_metrics.contains ~needle:"(dram_direct)" f.Runner.message);
+      Helpers.check_true "counterexample was shrunk"
+        (f.Runner.shrunk_from >= f.Runner.size);
+      Helpers.check_true "repro line carries the seed"
+        (Test_metrics.contains
+           ~needle:(Printf.sprintf "CONEX_CHECK_SEED=%d" f.Runner.seed)
+           (Runner.repro ~suite:"apex-selftest" f))
+    | fs -> Alcotest.failf "expected one failure, got %d" (List.length fs))
+
 let test_runner_deterministic () =
   match Suites.find "stats" with
   | None -> Alcotest.fail "stats suite missing"
@@ -248,6 +269,8 @@ let suite =
         test_selftest_shrinks;
       Alcotest.test_case "replacement selftest caught" `Quick
         test_replacement_selftest_fails;
+      Alcotest.test_case "apex selftest caught" `Quick
+        test_apex_selftest_fails;
       Alcotest.test_case "runner deterministic" `Quick
         test_runner_deterministic;
       Alcotest.test_case "case_seed pure" `Quick test_case_seed_pure;

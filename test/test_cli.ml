@@ -370,6 +370,25 @@ let test_check_counterexample () =
     (Test_metrics.contains ~needle:"CONEX_CHECK_SIZE=2" out);
   check_no_internal_error r
 
+let test_check_apex_counterexample () =
+  let ((_, out, _) as r) =
+    run_conex [ "check"; "--suite"; "apex-selftest"; "--count"; "10" ]
+  in
+  check_exit "check apex-selftest (intentionally broken composition)" 1 r;
+  Helpers.check_true "prints a reproducible seed"
+    (Test_metrics.contains ~needle:"CONEX_CHECK_SEED=" out);
+  Helpers.check_true "prints the shrunk size"
+    (Test_metrics.contains ~needle:"CONEX_CHECK_SIZE=" out);
+  check_no_internal_error r
+
+let test_check_apex_ok () =
+  let ((_, out, _) as r) =
+    run_conex [ "check"; "--suite"; "apex"; "--count"; "40" ]
+  in
+  check_exit "check apex" 0 r;
+  Helpers.check_true "prints the ok summary line"
+    (Test_metrics.contains ~needle:"ok   apex" out)
+
 let test_check_unknown_suite () =
   let ((_, _, err) as r) = run_conex [ "check"; "--suite"; "nosuch" ] in
   check_exit "unknown suite" 2 r;
@@ -390,7 +409,7 @@ let test_check_list () =
       Helpers.check_true
         (Printf.sprintf "lists the %s suite" needle)
         (Test_metrics.contains ~needle out))
-    [ "pareto"; "sim"; "explore" ]
+    [ "pareto"; "sim"; "explore"; "apex" ]
 
 (* -- live telemetry and the run ledger ----------------------------------- *)
 
@@ -720,4 +739,7 @@ let suite =
         test_serve_bad_shards;
       Alcotest.test_case "serve --cache-dir warm start" `Slow
         test_serve_cache_dir_warm_start;
+      Alcotest.test_case "check apex suite exits 0" `Quick test_check_apex_ok;
+      Alcotest.test_case "check apex selftest exits 1" `Quick
+        test_check_apex_counterexample;
     ] )

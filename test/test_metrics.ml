@@ -462,6 +462,7 @@ let test_explore_counter_parity () =
     [
       "cycle_sim.runs"; "cycle_sim.accesses"; "cluster.merges";
       "assign.enumerated"; "assign.levels"; "task_pool.items";
+      "apex.candidates"; "apex.chains"; "apex.accesses";
     ];
   Helpers.check_true "bus utilisation gauges exist"
     (List.exists
@@ -481,7 +482,14 @@ let test_explore_span_tree () =
       (fun phase ->
         Helpers.check_true (phase ^ " phase span present")
           (List.mem phase names))
-      [ "apex.select"; "explore.phase1"; "explore.phase2" ]
+      [ "apex.select"; "explore.phase1"; "explore.phase2" ];
+    (* APEX time is split into its three steps *)
+    let apex =
+      List.find (fun s -> s.Metrics.span_name = "apex.select") root.Metrics.children
+    in
+    Alcotest.(check (list string))
+      "apex.select children" [ "apex.profile"; "apex.evaluate"; "apex.pareto" ]
+      (List.map (fun s -> s.Metrics.span_name) apex.Metrics.children)
   | other -> Alcotest.failf "expected one root span, got %d" (List.length other)
 
 let suite =
