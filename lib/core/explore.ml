@@ -1,5 +1,4 @@
 module Component = Mx_connect.Component
-module Conn_arch = Mx_connect.Conn_arch
 module Cluster = Mx_connect.Cluster
 module Brg = Mx_connect.Brg
 module Ev = Mx_util.Event_log
@@ -229,33 +228,9 @@ let phase1 ?(interrupt = never) cfg workload cands =
                  List.map (fun conn -> (fp, conn)) slices.(i))
                p.shards
            in
-           (* cross-level dedup, first occurrence wins — the monolithic
-              [Assign.enumerate_levels] contract, now at merge time *)
-           let seen = Hashtbl.create 64 in
-           let kept =
-             List.filter
-               (fun (_, conn) ->
-                 let key = Conn_arch.describe conn in
-                 if Hashtbl.mem seen key then begin
-                   Mx_util.Metrics.incr metrics "assign.dedup_pruned";
-                   if Ev.is_on Ev.global then
-                     Ev.emit Ev.global ~stage:"assign" "assign.rejected"
-                       [
-                         ("conn", Ev.Str key);
-                         ("reason", Ev.Str "duplicate");
-                       ];
-                   false
-                 end
-                 else begin
-                   Hashtbl.add seen key ();
-                   if Ev.is_on Ev.global then
-                     Ev.emit Ev.global ~stage:"assign" "assign.kept"
-                       [ ("conn", Ev.Str key) ];
-                   true
-                 end)
-               stream
-           in
-           Mx_util.Metrics.incr metrics ~by:(List.length kept) "assign.kept";
+           (* cross-level dedup, first occurrence wins, as in the
+              monolithic [Assign.enumerate_levels] *)
+           let kept = Mx_connect.Assign.dedup snd stream in
            let pairs =
              Mx_util.Task_pool.parallel_map ~jobs:cfg.jobs
                ~chunk:estimate_chunk

@@ -1,17 +1,8 @@
 module Component = Mx_connect.Component
-module Conn_arch = Mx_connect.Conn_arch
 module Cluster = Mx_connect.Cluster
 module Assign = Mx_connect.Assign
 module Ev = Mx_util.Event_log
 module Metrics = Mx_util.Metrics
-
-(* Saturating arithmetic: design spaces are cartesian products and
-   overflow a 63-bit int long before they overflow the planner. *)
-let sat_mul a b =
-  if a = 0 || b = 0 then 0 else if a > max_int / b then max_int else a * b
-
-let sat_add a b = if a > max_int - b then max_int else a + b
-let space_of counts = List.fold_left sat_mul 1 counts
 
 type descriptor = {
   workload_fp : string;
@@ -133,8 +124,6 @@ type pending = {
   pspace : int;
 }
 
-let rest_space rest = space_of (List.map (fun (_, cs) -> List.length cs) rest)
-
 (* Split one shard at its first multi-choice cluster (descending
    through forced single-choice clusters), one child per choice, in
    choice order — so children concatenate back to the parent. *)
@@ -143,7 +132,7 @@ let expand p =
     | [] -> assert false (* pspace >= 2 implies a multi-choice cluster *)
     | (cl, [ c ]) :: rest -> go ((cl, c) :: bound_rev) rest
     | (cl, cs) :: rest ->
-      let child_space = rest_space rest in
+      let child_space = Assign.space rest in
       List.map
         (fun c ->
           { bound_rev = (cl, c) :: bound_rev; prest = rest;
@@ -158,7 +147,7 @@ let expand p =
    their parent in place. *)
 let split ~target per_cluster =
   let shards =
-    ref [ { bound_rev = []; prest = per_cluster; pspace = rest_space per_cluster } ]
+    ref [ { bound_rev = []; prest = per_cluster; pspace = Assign.space per_cluster } ]
   in
   let progress = ref true in
   while List.length !shards < target && !progress do
@@ -184,69 +173,38 @@ let plan ?(shards = 1) ?(max_designs_per_level = max_int) ~workload_fp
   if shards < 1 then invalid_arg "Shard.plan: shards < 1";
   if max_designs_per_level < 0 then
     invalid_arg "Shard.plan: max_designs_per_level < 0";
-  Metrics.incr Metrics.global ~by:(List.length levels) "assign.levels";
-  let out = ref [] in
-  List.iteri
-    (fun li level ->
-      let per_cluster =
-        List.map (fun cl -> (cl, Assign.choices ~onchip ~offchip cl)) level
-      in
-      if List.exists (fun (_, cs) -> cs = []) per_cluster then begin
-        (* same accounting as the monolithic [Assign.enumerate] *)
-        Metrics.incr Metrics.global "assign.infeasible_levels";
-        if Ev.is_on Ev.global then
-          Ev.emit Ev.global ~stage:"assign" "assign.level_infeasible"
-            [
-              ("clusters", Ev.Int (List.length level));
-              ("reason", Ev.Str "no_feasible_component");
-            ]
-      end
-      else begin
-        let space = rest_space per_cluster in
-        let enumerated = min space max_designs_per_level in
-        if Metrics.is_on Metrics.global then begin
-          Metrics.incr Metrics.global ~by:enumerated "assign.enumerated";
-          Metrics.incr Metrics.global
-            ~by:(max 0 (space - enumerated))
-            "assign.cap_pruned"
-        end;
-        if Ev.is_on Ev.global then
-          Ev.emit Ev.global ~stage:"assign" "assign.level"
-            [
-              ("clusters", Ev.Int (List.length level));
-              ("enumerated", Ev.Int enumerated);
-              ("cap_pruned", Ev.Int (max 0 (space - enumerated)));
-            ];
-        let pendings = split ~target:shards per_cluster in
-        (* The level cap flows through the shards in plan order: each
-           one may emit exactly the designs the monolithic enumeration
-           would take from its slice of the product, so no shard
-           computes a design the merge would discard. *)
-        let consumed = ref 0 in
-        List.iter
-          (fun p ->
-            let budget = max 0 (max_designs_per_level - !consumed) in
-            let cap = min p.pspace budget in
-            consumed := sat_add !consumed cap;
-            if cap > 0 then begin
-              let bound = List.rev p.bound_rev in
-              let desc =
-                {
-                  workload_fp;
-                  arch_label;
-                  arch_fp;
-                  level = li;
-                  prefix = List.map (fun (_, c) -> c.Component.name) bound;
-                  space = p.pspace;
-                  cap;
-                }
-              in
-              out := { desc; bound; rest = p.prest } :: !out
-            end)
-          pendings
-      end)
-    levels;
-  let planned = List.rev !out in
+  let planned =
+    Assign.levels ~max_designs_per_level ~onchip ~offchip levels
+    |> List.mapi (fun li -> function
+         | None -> []
+         | Some (l : Assign.level) ->
+           (* The level cap flows through the shards in plan order: each
+              one may emit exactly the designs the monolithic enumeration
+              would take from its slice of the product, so no shard
+              computes a design the merge would discard. *)
+           let consumed = ref 0 in
+           List.filter_map
+             (fun p ->
+               let cap = min p.pspace (l.enumerated - !consumed) in
+               consumed := !consumed + cap;
+               if cap = 0 then None
+               else
+                 let bound = List.rev p.bound_rev in
+                 let desc =
+                   {
+                     workload_fp;
+                     arch_label;
+                     arch_fp;
+                     level = li;
+                     prefix = List.map (fun (_, c) -> c.Component.name) bound;
+                     space = p.pspace;
+                     cap;
+                   }
+                 in
+                 Some { desc; bound; rest = p.prest })
+             (split ~target:shards l.per_cluster))
+    |> List.concat
+  in
   Metrics.incr Metrics.global ~by:(List.length planned) "shard.planned";
   if Ev.is_on Ev.global then
     List.iter
@@ -263,23 +221,10 @@ let plan ?(shards = 1) ?(max_designs_per_level = max_int) ~workload_fp
       planned;
   planned
 
-(* Silent prefixed enumeration: no events, no metrics — shards run on
-   pool workers, where emission would be schedule-dependent.  All
-   bookkeeping happens at plan time and at ordered commit time. *)
-let enumerate r =
-  let out = ref [] and count = ref 0 in
-  let cap = r.desc.cap in
-  let rec go acc = function
-    | [] ->
-      if !count < cap then begin
-        out := Conn_arch.make (List.rev acc) :: !out;
-        incr count
-      end
-    | (cl, cs) :: rest ->
-      List.iter (fun c -> if !count < cap then go ((cl, c) :: acc) rest) cs
-  in
-  go (List.rev r.bound) r.rest;
-  List.rev !out
+(* Silent: shards run on pool workers, where emission would be
+   schedule-dependent.  All bookkeeping happens at plan time and at
+   ordered commit time. *)
+let enumerate r = Assign.product ~bound:r.bound ~cap:r.desc.cap r.rest
 
 let resolve ~workload_fp ~arch_label ~arch_fp ~onchip ~offchip ~levels desc =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
@@ -309,7 +254,7 @@ let resolve ~workload_fp ~arch_label ~arch_fp ~onchip ~offchip ~levels desc =
         | _ :: _, [] -> err "prefix longer than the level's cluster list"
       in
       Result.bind (bind [] desc.prefix per_cluster) (fun (bound, rest) ->
-          let space = rest_space rest in
+          let space = Assign.space rest in
           if space <> desc.space then
             err "space mismatch: descriptor says %d, level yields %d"
               desc.space space

@@ -73,22 +73,21 @@ val plan :
     enumerates a design the merge would discard, and levels whose slice
     falls wholly beyond the cap produce no shards.
 
-    Emits the same [assign.level] / [assign.level_infeasible] events
-    and [assign.levels] / [assign.enumerated] / [assign.cap_pruned] /
-    [assign.infeasible_levels] metrics as the monolithic enumeration
-    (computed from the level's full space), plus one [shard.planned]
-    event and the [shard.planned] counter — all on the calling domain,
-    so the planning record is deterministic.
+    The levels come from {!Mx_connect.Assign.levels}, so planning
+    records exactly the [assign.*] accounting of the monolithic
+    enumeration (computed from each level's full space), plus one
+    [shard.planned] event and the [shard.planned] counter — all on the
+    calling domain, so the planning record is deterministic.
 
     @raise Invalid_argument if [shards < 1] or
     [max_designs_per_level < 0]. *)
 
 val enumerate : resolved -> Mx_connect.Conn_arch.t list
-(** Enumerate one shard's slice — the prefix clusters fixed, the
-    cartesian product of the remaining choices in choice order, capped
-    at [cap].  Silent: no events, no metrics — safe to run on pool
-    workers; bookkeeping happens at plan time and at ordered commit
-    time. *)
+(** Enumerate one shard's slice with {!Mx_connect.Assign.product} —
+    the prefix clusters fixed, the cartesian product of the remaining
+    choices in choice order, capped at [cap].  Silent: no events, no
+    metrics — safe to run on pool workers; bookkeeping happens at plan
+    time and at ordered commit time. *)
 
 val resolve :
   workload_fp:string ->

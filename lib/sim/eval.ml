@@ -221,48 +221,3 @@ let eval_prov ~fidelity ~workload ~arch ?profile ?shard ~conn () =
 
 let eval ~fidelity ~workload ~arch ?profile ?shard ~conn () =
   fst (eval_prov ~fidelity ~workload ~arch ?profile ?shard ~conn ())
-
-(* Streamed evaluation shares the cache with the in-memory paths: the
-   streamed fingerprint is the same string Workload.fingerprint would
-   produce for the materialised trace, so a result computed from a
-   binary file serves later in-memory requests for the same workload
-   (and vice versa). *)
-let eval_stream_prov ~fidelity ?seek ~(workload : Workload.streamed) ~arch
-    ~conn () =
-  let c = !cache in
-  let base =
-    Workload.streamed_fingerprint workload
-    ^ "|" ^ Mem_arch.fingerprint arch
-    ^ "|" ^ Conn_arch.fingerprint conn
-  in
-  match fidelity with
-  | Estimate ->
-    invalid_arg
-      "Eval.eval_stream: Estimate fidelity needs a module-level profile, \
-       which has no streaming form — materialise the workload instead"
-  | Exact ->
-    if seek = Some true then
-      invalid_arg "Eval.eval_stream: ~seek requires Sampled fidelity";
-    find_via_tiers c ~key:(key ~base Exact) (fun () ->
-        Cycle_sim.run_stream ~workload ~arch ~conn ())
-  | Sampled (on, off) -> (
-    let exact_key = key ~base Exact in
-    match Memo_cache.peek c ~key:exact_key with
-    | Some r -> (r, Promoted)
-    | None -> (
-      match promote_from_disk c ~exact_key with
-      | Some r -> (r, Promoted)
-      | None ->
-        (* cold (seek) sampling skips module warming in the off-windows,
-           so its numbers are a different estimator from warm sampling —
-           keep the cache entries apart *)
-        let k =
-          key ~base (Sampled (on, off))
-          ^ if seek = Some true then "|seek" else ""
-        in
-        find_via_tiers c ~key:k (fun () ->
-            Cycle_sim.run_stream ~sample:(on, off) ?seek ~workload ~arch ~conn
-              ())))
-
-let eval_stream ~fidelity ?seek ~workload ~arch ~conn () =
-  fst (eval_stream_prov ~fidelity ?seek ~workload ~arch ~conn ())

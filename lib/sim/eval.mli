@@ -97,36 +97,6 @@ val eval_prov :
     name — see {!Mx_util.Event_log.schedule_dependent}.  [?shard] as in
     {!eval}. *)
 
-val eval_stream :
-  fidelity:fidelity ->
-  ?seek:bool ->
-  workload:Mx_trace.Workload.streamed ->
-  arch:Mx_mem.Mem_arch.t ->
-  conn:Mx_connect.Conn_arch.t ->
-  unit ->
-  Sim_result.t
-(** {!eval} for a streamed workload ({!Cycle_sim.run_stream}).  Shares
-    the same cache as the in-memory paths: the streamed fingerprint
-    equals the materialised workload's {!Mx_trace.Workload.fingerprint},
-    so results flow across text-loaded, binary-streamed and in-memory
-    evaluations of the same content.  [~seek:true] (cold sampling, see
-    {!Cycle_sim.run_stream}) is cached under a distinct key — its
-    numbers are a different estimator from warm sampling.
-    @raise Invalid_argument for [Estimate] fidelity (the analytic model
-    needs a module-level profile, which has no streaming form), for
-    [~seek:true] without [Sampled] fidelity, and whenever the simulator
-    rejects the design. *)
-
-val eval_stream_prov :
-  fidelity:fidelity ->
-  ?seek:bool ->
-  workload:Mx_trace.Workload.streamed ->
-  arch:Mx_mem.Mem_arch.t ->
-  conn:Mx_connect.Conn_arch.t ->
-  unit ->
-  Sim_result.t * provenance
-(** {!eval_stream} with provenance, as {!eval_prov}. *)
-
 val default_cache_capacity : int
 (** 65536 entries — far above the working set of any bundled experiment,
     so nothing is evicted and cache behaviour stays deterministic. *)

@@ -59,99 +59,7 @@ let ensure_workers n =
     workers := Domain.spawn worker_loop :: !workers
   done
 
-(* Items and calls are schedule-invariant; everything about how the
-   work was split or who ran it lives under the sched. namespace (see
-   the Metrics determinism contract). *)
-let note_call xs =
-  if Metrics.is_on Metrics.global then begin
-    Metrics.incr Metrics.global "task_pool.calls";
-    Metrics.incr Metrics.global ~by:(List.length xs) "task_pool.items"
-  end
-
-let parallel_map ~jobs ~chunk f xs =
-  if jobs < 0 then invalid_arg "Task_pool.parallel_map: jobs < 0";
-  let chunk = max 1 chunk in
-  note_call xs;
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | _ when jobs <= 1 || Domain.DLS.get in_worker -> List.map f xs
-  | _ ->
-    let arr = Array.of_list xs in
-    let n = Array.length arr in
-    let nchunks = (n + chunk - 1) / chunk in
-    (* per-call completion state; [results] and [remaining] are only
-       touched under [mutex] *)
-    let results : ('b list, exn) result option array = Array.make nchunks None in
-    let remaining = ref nchunks in
-    let run_chunk ci =
-      let lo = ci * chunk in
-      let hi = min n (lo + chunk) - 1 in
-      let traced = Metrics.is_on Metrics.global in
-      let t0 = if traced then Unix.gettimeofday () else 0.0 in
-      let r =
-        try
-          (* explicit left-to-right order within the chunk *)
-          let rec go i acc =
-            if i > hi then List.rev acc else go (i + 1) (f arr.(i) :: acc)
-          in
-          Ok (go lo [])
-        with e -> Error e
-      in
-      if traced then
-        (* per-domain busy time: which domain ran the chunk is a
-           scheduling artifact, hence sched. *)
-        Metrics.observe Metrics.global ~unit_:"s"
-          (Printf.sprintf "task_pool.sched.domain_busy_s.%d"
-             (Domain.self () :> int))
-          (Unix.gettimeofday () -. t0);
-      Mutex.lock mutex;
-      results.(ci) <- Some r;
-      decr remaining;
-      if !remaining = 0 then Condition.broadcast cond;
-      Mutex.unlock mutex
-    in
-    if Metrics.is_on Metrics.global then
-      Metrics.incr Metrics.global ~by:(nchunks - 1)
-        "task_pool.sched.dispatched_chunks";
-    Mutex.lock mutex;
-    ensure_workers (min (jobs - 1) (nchunks - 1));
-    for ci = nchunks - 1 downto 1 do
-      Queue.push (fun () -> run_chunk ci) queue
-    done;
-    Condition.broadcast cond;
-    Mutex.unlock mutex;
-    (* the caller is a full participant: run chunk 0, then keep draining
-       the queue; block only when every remaining chunk is in flight *)
-    run_chunk 0;
-    let rec help () =
-      Mutex.lock mutex;
-      if !remaining = 0 then Mutex.unlock mutex
-      else
-        match Queue.take_opt queue with
-        | Some task ->
-          Mutex.unlock mutex;
-          task ();
-          help ()
-        | None ->
-          while !remaining > 0 do
-            Condition.wait cond mutex
-          done;
-          Mutex.unlock mutex
-    in
-    help ();
-    let out = ref [] in
-    let error = ref None in
-    for ci = nchunks - 1 downto 0 do
-      match results.(ci) with
-      | Some (Ok ys) -> out := ys @ !out
-      | Some (Error e) -> error := Some e
-      | None -> assert false
-    done;
-    (match !error with Some e -> raise e | None -> ());
-    !out
-
-(* Ordered-commit variant: chunk results are handed back to the caller
+(* Ordered-commit map: chunk results are handed back to the caller
    domain strictly in input-index order, so everything done inside
    [commit] (event emission, archive insertion, accumulation) is a pure
    function of the input list — independent of jobs, chunking and
@@ -165,7 +73,13 @@ let parallel_map_commit ~jobs ~chunk ?(should_stop = fun () -> false) ~commit
     f xs =
   if jobs < 0 then invalid_arg "Task_pool.parallel_map_commit: jobs < 0";
   let chunk = max 1 chunk in
-  note_call xs;
+  (* Items and calls are schedule-invariant; everything about how the
+     work was split or who ran it lives under the sched. namespace (see
+     the Metrics determinism contract). *)
+  if Metrics.is_on Metrics.global then begin
+    Metrics.incr Metrics.global "task_pool.calls";
+    Metrics.incr Metrics.global ~by:(List.length xs) "task_pool.items"
+  end;
   let serial xs =
     let rec go i committed = function
       | [] -> committed
@@ -297,25 +211,20 @@ let parallel_map_commit ~jobs ~chunk ?(should_stop = fun () -> false) ~commit
         drive ()
       end
       else if !remaining = 0 then Mutex.unlock mutex
-      else if !error <> None || !stopped then (
-        (* nothing more to commit: drain the in-flight chunks (helping
-           with still-queued ones, which will skip themselves) *)
-        match Queue.take_opt queue with
-        | Some task ->
-          Mutex.unlock mutex;
-          task ();
-          drive ()
-        | None ->
-          while !remaining > 0 do
-            Condition.wait cond mutex
-          done;
-          Mutex.unlock mutex)
       else
         match Queue.take_opt queue with
         | Some task ->
+          (* help with queued chunks; after an error or a stop they
+             skip themselves *)
           Mutex.unlock mutex;
           task ();
           drive ()
+        | None when !error <> None || !stopped ->
+          (* nothing more to commit: drain the in-flight chunks *)
+          while !remaining > 0 do
+            Condition.wait cond mutex
+          done;
+          Mutex.unlock mutex
         | None ->
           (* every remaining chunk is in flight; wait for one *)
           Condition.wait cond mutex;
@@ -325,3 +234,13 @@ let parallel_map_commit ~jobs ~chunk ?(should_stop = fun () -> false) ~commit
     drive ();
     (match !error with Some e -> raise e | None -> ());
     !committed
+
+(* The plain map is the ordered-commit map collected into a list: each
+   element commits exactly once, in input order. *)
+let parallel_map ~jobs ~chunk f xs =
+  if jobs < 0 then invalid_arg "Task_pool.parallel_map: jobs < 0";
+  let acc = ref [] in
+  ignore
+    (parallel_map_commit ~jobs ~chunk ~commit:(fun _ _ y -> acc := y :: !acc)
+       f xs);
+  List.rev !acc

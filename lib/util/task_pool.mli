@@ -26,25 +26,6 @@ val in_worker_domain : unit -> bool
     parallel calls degrade to serial).  Useful for labelling
     schedule-dependent ([sched.]) observability records. *)
 
-val parallel_map : jobs:int -> chunk:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [parallel_map ~jobs ~chunk f xs] is [List.map f xs] computed with up
-    to [jobs] domains (the caller plus [jobs - 1] pool workers).  The
-    input is split into contiguous chunks of [chunk] elements ([chunk]
-    is clamped to at least 1) that are dispatched to the pool; the
-    caller executes chunks too, so no domain idles.
-
-    Guarantees:
-    - {b ordering}: the result list is in input order, identical to
-      [List.map f xs] — chunking and scheduling are invisible;
-    - {b exceptions}: if any [f x] raises, the first exception in input
-      order is re-raised in the caller after all in-flight chunks have
-      drained (other chunks may have run: [f] should be effect-free);
-    - {b serial fallback}: [jobs <= 1], a singleton or empty [xs], or a
-      call from inside a pool worker runs plain [List.map f xs] on the
-      calling domain and spawns nothing.
-
-    @raise Invalid_argument if [jobs < 0]. *)
-
 val parallel_map_commit :
   jobs:int ->
   chunk:int ->
@@ -54,13 +35,20 @@ val parallel_map_commit :
   'a list ->
   int
 (** [parallel_map_commit ~jobs ~chunk ?should_stop ~commit f xs] maps
-    [f] over [xs] with the same pool, chunking and serial-fallback rules
-    as {!parallel_map}, but instead of returning the results it hands
-    each one to [commit idx x (f x)] — {b only on the calling domain,
-    in strict input-index order, each element exactly once}.  Anything
-    [commit] does (event emission, archive insertion, accumulation) is
-    therefore a pure function of the input list, independent of [jobs]
-    and scheduling.  Returns the number of committed elements.
+    [f] over [xs] with up to [jobs] domains (the caller plus [jobs - 1]
+    pool workers) and hands each result to [commit idx x (f x)] —
+    {b only on the calling domain, in strict input-index order, each
+    element exactly once}.  The input is split into contiguous chunks
+    of [chunk] elements ([chunk] is clamped to at least 1) that are
+    dispatched to the pool; the caller computes the first chunk, then
+    commits finished chunks and executes queued ones, so no domain
+    idles.  Anything [commit] does (event emission, archive insertion,
+    accumulation) is therefore a pure function of the input list,
+    independent of [jobs] and scheduling.  Returns the number of
+    committed elements.
+
+    [jobs <= 1], a singleton or empty [xs], or a call from inside a
+    pool worker runs serially on the calling domain and spawns nothing.
 
     [should_stop] (default: never) is polled on the calling domain
     before each element is committed (and before each element is
@@ -71,8 +59,25 @@ val parallel_map_commit :
     input prefix.
 
     If some [f x] raises, the first exception in commit order is
-    re-raised after the committed prefix [0 .. i) is preserved and the
-    remaining work is cancelled/drained.  [commit] itself must not
-    raise and must not call back into the pool.
+    re-raised after the committed prefix [0 .. i) is preserved, chunks
+    not yet started are skipped and in-flight chunks have drained.
+    [commit] itself must not raise and must not call back into the
+    pool.
+
+    @raise Invalid_argument if [jobs < 0]. *)
+
+val parallel_map : jobs:int -> chunk:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [parallel_map ~jobs ~chunk f xs] is [List.map f xs] computed on the
+    pool: {!parallel_map_commit} with a [commit] that collects each
+    result into a list, so it follows the same chunking, dispatch and
+    serial-fallback rules.
+
+    Guarantees:
+    - {b ordering}: the result list is in input order, identical to
+      [List.map f xs] — chunking and scheduling are invisible;
+    - {b exceptions}: if any [f x] raises, the first exception in input
+      order is re-raised in the caller; chunks not yet started are
+      skipped and in-flight chunks drain first (other chunks may have
+      run: [f] should be effect-free).
 
     @raise Invalid_argument if [jobs < 0]. *)

@@ -291,6 +291,112 @@ let test_shard_save_load () =
   | Ok ds' -> Helpers.check_true "queue round-trips" (ds' = ds)
   | Error e -> Alcotest.failf "load: %s" e
 
+(* -- Phase I accounting parity ------------------------------------------------
+
+   Phase I's sharded enumeration must record exactly what the monolithic
+   [Assign.enumerate_levels] records over the same channels.  An
+   on-chip library whose widest component carries two channels makes
+   every level with a larger on-chip cluster infeasible, and a small
+   cap prunes the feasible ones. *)
+
+module Ev = Mx_util.Event_log
+
+let parity_counters =
+  [
+    "assign.levels";
+    "assign.enumerated";
+    "assign.cap_pruned";
+    "assign.infeasible_levels";
+    "assign.kept";
+    "assign.dedup_pruned";
+  ]
+
+(* the assign.* counters and the ordered assign-stage events [f] records *)
+let assign_record f =
+  Helpers.with_global_metrics (fun () ->
+      Ev.reset Ev.global;
+      Ev.set_enabled Ev.global true;
+      Fun.protect
+        ~finally:(fun () ->
+          Ev.set_enabled Ev.global false;
+          Ev.reset Ev.global)
+        (fun () ->
+          f ();
+          let counters =
+            List.map
+              (fun k ->
+                (k, Mx_util.Metrics.counter_value Mx_util.Metrics.global k))
+              parity_counters
+          in
+          let events =
+            List.filter_map
+              (fun (e : Ev.event) ->
+                if e.Ev.stage = "assign" then
+                  Some (e.Ev.seq, e.Ev.name, e.Ev.attrs)
+                else None)
+              (Ev.events Ev.global)
+          in
+          (counters, events)))
+
+let test_phase1_assign_parity () =
+  let w = Helpers.mixed_workload ~scale:4000 () in
+  let arch = Helpers.rich_arch w in
+  let profile = Helpers.profile_of arch w in
+  let cand =
+    { Mx_apex.Explore.arch; cost_gates = 0; miss_ratio = 0.0; profile }
+  in
+  let ded32 = Mx_connect.Component.by_name "ded32" in
+  let mux2 =
+    {
+      (Mx_connect.Component.by_name "mux32") with
+      name = "mux2";
+      max_channels = 2;
+    }
+  in
+  let onchip = [ ded32; mux2 ] in
+  let offchip = Mx_connect.Component.offchip_library in
+  let cap = 5 in
+  let channels =
+    (Mx_connect.Brg.build arch profile).Mx_connect.Brg.channels
+  in
+  let want_counters, want_events =
+    assign_record (fun () ->
+        ignore
+          (Mx_connect.Assign.enumerate_levels ~max_designs_per_level:cap
+             ~onchip ~offchip channels))
+  in
+  let value k = List.assoc k want_counters in
+  Helpers.check_true "scenario has a capped level"
+    (value "assign.cap_pruned" > 0);
+  Helpers.check_true "scenario has an infeasible level"
+    (value "assign.infeasible_levels" > 0);
+  List.iter
+    (fun shards ->
+      let config =
+        {
+          Explore.default_config with
+          onchip;
+          offchip;
+          max_designs_per_level = cap;
+          shards;
+          jobs = Helpers.test_jobs;
+        }
+      in
+      let got_counters, got_events =
+        assign_record (fun () ->
+            ignore (Explore.phase1 config w [ cand ]))
+      in
+      List.iter
+        (fun (k, v) ->
+          Helpers.check_int
+            (Printf.sprintf "%s at shards %d" k shards)
+            v (List.assoc k got_counters))
+        want_counters;
+      Helpers.check_true
+        (Printf.sprintf "ordered assign events at shards %d" shards)
+        (got_events = want_events))
+    [ 1; 4 ]
+
 (* -- report ------------------------------------------------------------------ *)
 
 let test_annotate_labels () =
@@ -356,6 +462,8 @@ let suite =
       Alcotest.test_case "shard rejects garbage" `Quick
         test_shard_of_line_rejects_garbage;
       Alcotest.test_case "shard save/load" `Quick test_shard_save_load;
+      Alcotest.test_case "phase1 assign accounting parity" `Quick
+        test_phase1_assign_parity;
       Alcotest.test_case "annotate labels" `Slow test_annotate_labels;
       Alcotest.test_case "annotate sorted" `Slow test_annotate_sorted_by_cost;
       Alcotest.test_case "ascii scatter" `Slow test_ascii_scatter_renders;
