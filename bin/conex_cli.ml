@@ -952,6 +952,28 @@ module Serve = struct
       | Some other -> fail ~id "unknown op %S" other)
 end
 
+(* Clear [path] for binding, removing only a stale socket: one that
+   refuses connections because the server that made it is gone.  A
+   live server's socket, or anything that is not a socket, is left in
+   place and the command exits 1. *)
+let claim_socket_path path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | exception Unix.Unix_error (e, _, _) ->
+    die_io "cannot stat socket path %s: %s" path (Unix.error_message e)
+  | { Unix.st_kind = Unix.S_SOCK; _ } ->
+    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let stale =
+      match Unix.connect probe (Unix.ADDR_UNIX path) with
+      | () -> false
+      | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> true
+      | exception Unix.Unix_error _ -> false
+    in
+    Unix.close probe;
+    if stale then Unix.unlink path
+    else die_io "socket %s is in use by another server; not replacing it" path
+  | _ -> die_io "%s exists and is not a socket; not replacing it" path
+
 let serve_cmd =
   let run cache_dir socket jobs shards cache_size =
     if shards <= 0 then die_usage "--shards must be positive (got %d)" shards;
@@ -984,7 +1006,7 @@ let serve_cmd =
     (match socket with
     | None -> serve_channel stdin stdout
     | Some path ->
-      if Sys.file_exists path then Sys.remove path;
+      claim_socket_path path;
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       (try
          Unix.bind fd (Unix.ADDR_UNIX path);
@@ -1020,7 +1042,9 @@ let serve_cmd =
     let doc =
       "Accept requests on a Unix domain socket bound at $(docv) (connections \
        are served one at a time) instead of reading stdin.  The socket file \
-       is created on start and removed on shutdown."
+       is created on start and removed on shutdown.  A stale socket left at \
+       $(docv) by a server that is gone is replaced; anything else there \
+       (a live server's socket, a regular file) makes the command exit 1."
     in
     Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
   in

@@ -131,12 +131,12 @@ let replay ~workload ~arch ~conn () =
   let cpu_leg = Array.make 5 None and dram_leg = Array.make 5 None in
   List.iter
     (fun sv ->
-      let node = Serving.node_of sv in
-      let i = Serving.index sv in
+      let node = Channel.of_serving sv in
+      let i = Mem_sim.serving_index sv in
       cpu_leg.(i) <- route bindings Channel.Cpu node;
       if node <> Channel.Dram then
         dram_leg.(i) <- route bindings node Channel.Dram)
-    Serving.all;
+    Mem_sim.all_servings;
   let require leg sv =
     match leg with
     | Some l -> l
@@ -144,7 +144,7 @@ let replay ~workload ~arch ~conn () =
       invalid_arg
         (Printf.sprintf
            "Oracle.replay: connectivity does not implement the %s channel"
-           (Channel.node_to_string (Serving.node_of sv)))
+           (Channel.node_to_string (Channel.of_serving sv)))
   in
   let msim =
     Mem_sim.create arch ~regions:workload.Mx_trace.Workload.regions
@@ -168,7 +168,7 @@ let replay ~workload ~arch ~conn () =
       ops_acc := !ops_acc -. float_of_int gap;
       let o = Mem_sim.access msim ~now:!i ~addr ~size ~write ~region in
       let sv = o.Mem_sim.serving in
-      let k = Serving.index sv in
+      let k = Mem_sim.serving_index sv in
       if o.Mem_sim.l2_bytes > 0 then
         invalid_arg "Oracle.replay: unexpected L2 traffic";
       now := !now + gap;
@@ -567,7 +567,7 @@ let mem_stats_mismatch (a : Mem_sim.stats) (b : Mem_sim.stats) =
             ("dram_txns_by", a.dram_txns_by, b.dram_txns_by);
             ("demand_misses_by", a.demand_misses_by, b.demand_misses_by);
           ])
-      Serving.all
+      Mem_sim.all_servings
   in
   List.find_map
     (fun (name, x, y) ->

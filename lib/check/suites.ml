@@ -754,7 +754,7 @@ let pipeline_suite =
         let total =
           List.fold_left
             (fun acc sv -> acc + s.Mem_sim.cpu_accesses sv)
-            0 Serving.all
+            0 Mem_sim.all_servings
         in
         R.all_of
           [

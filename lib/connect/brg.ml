@@ -4,25 +4,9 @@ type t = {
   accesses : int;
 }
 
-let node_of_serving = function
-  | Mx_mem.Mem_sim.By_cache -> Channel.Cache
-  | Mx_mem.Mem_sim.By_sram -> Channel.Sram
-  | Mx_mem.Mem_sim.By_sbuf -> Channel.Sbuf
-  | Mx_mem.Mem_sim.By_lldma -> Channel.Lldma
-  | Mx_mem.Mem_sim.By_dram_direct -> Channel.Dram
-
 let build arch (s : Mx_mem.Mem_sim.stats) =
   if s.accesses = 0 then invalid_arg "Brg.build: profile saw no accesses";
   let n = float_of_int s.accesses in
-  let servings =
-    [
-      Mx_mem.Mem_sim.By_cache;
-      Mx_mem.Mem_sim.By_sram;
-      Mx_mem.Mem_sim.By_sbuf;
-      Mx_mem.Mem_sim.By_lldma;
-      Mx_mem.Mem_sim.By_dram_direct;
-    ]
-  in
   let l2_channels =
     if s.Mx_mem.Mem_sim.l2_txns_total = 0 then []
     else
@@ -40,7 +24,7 @@ let build arch (s : Mx_mem.Mem_sim.stats) =
   let channels =
     List.concat_map
       (fun sv ->
-        let node = node_of_serving sv in
+        let node = Channel.of_serving sv in
         let cpu_side =
           let bytes = s.cpu_bytes sv and count = s.cpu_accesses sv in
           if count = 0 then []
@@ -77,7 +61,7 @@ let build arch (s : Mx_mem.Mem_sim.stats) =
             ]
         in
         cpu_side @ dram_side)
-      servings
+      Mx_mem.Mem_sim.all_servings
   in
   { arch; channels = l2_channels @ channels; accesses = s.accesses }
 

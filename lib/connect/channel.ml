@@ -11,6 +11,13 @@ let node_to_string = function
   | Lldma -> "lldma"
   | Dram -> "DRAM"
 
+let of_serving = function
+  | Mx_mem.Mem_sim.By_cache -> Cache
+  | Mx_mem.Mem_sim.By_sram -> Sram
+  | Mx_mem.Mem_sim.By_sbuf -> Sbuf
+  | Mx_mem.Mem_sim.By_lldma -> Lldma
+  | Mx_mem.Mem_sim.By_dram_direct -> Dram
+
 let endpoints_to_string c =
   Printf.sprintf "%s<->%s" (node_to_string c.src) (node_to_string c.dst)
 

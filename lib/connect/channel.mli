@@ -19,6 +19,11 @@ type t = {
 }
 
 val node_to_string : node -> string
+
+val of_serving : Mx_mem.Mem_sim.serving -> node
+(** The endpoint a serving class talks through: the module that
+    answered the access, or [Dram] for a direct off-chip access. *)
+
 val endpoints_to_string : t -> string
 
 val crosses_chip : t -> bool

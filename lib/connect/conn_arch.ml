@@ -27,16 +27,19 @@ let make pairs =
   in
   { bindings; cost_gates }
 
-let lookup t (ch : Channel.t) =
-  match
-    List.find_opt
-      (fun b -> List.exists (Channel.same_endpoints ch) b.cluster.Cluster.channels)
-      t.bindings
-  with
-  | Some b -> b
-  | None -> raise Not_found
+type leg = { comp : Component.t; index : int; shared : bool }
 
-let sharers t ch = List.length (lookup t ch).cluster.Cluster.channels
+let route t src dst =
+  let probe = { Channel.src; dst; bandwidth = 0.0; txn_bytes = 0.0 } in
+  let rec go i = function
+    | [] -> None
+    | b :: rest ->
+      let chans = b.cluster.Cluster.channels in
+      if List.exists (Channel.same_endpoints probe) chans then
+        Some { comp = b.component; index = i; shared = List.length chans > 1 }
+      else go (i + 1) rest
+  in
+  go 0 t.bindings
 
 (* Canonical order-insensitive fingerprint.  A channel is identified by
    its endpoint pair (direction-insensitive, like [Channel.same_endpoints]);

@@ -17,13 +17,21 @@ val make : (Cluster.t * Component.t) list -> t
 val feasible : Cluster.t -> Component.t -> bool
 (** The static legality check [make] enforces per binding. *)
 
-val lookup : t -> Channel.t -> binding
-(** The binding that carries a channel (by endpoints).
-    @raise Not_found when the channel is not in any cluster. *)
+(** A routed leg: the component instance that carries a channel. *)
+type leg = {
+  comp : Component.t;
+  index : int;  (** position of the carrying binding in [bindings] *)
+  shared : bool;
+      (** the binding's cluster carries more than this one channel, so
+          transactions on it contend *)
+}
 
-val sharers : t -> Channel.t -> int
-(** Number of channels sharing the component that carries this
-    channel. *)
+val route : t -> Channel.node -> Channel.node -> leg option
+(** [route t src dst] is the leg of the first binding whose cluster
+    carries a channel with endpoints [src] and [dst] (in either
+    direction), or [None] when no binding does.  This is the one
+    channel router: the analytical estimator and the cycle simulator
+    both take their legs from it (through [Serving.path]). *)
 
 val fingerprint : t -> string
 (** Canonical structural fingerprint, insensitive to the order of

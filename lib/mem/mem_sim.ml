@@ -47,6 +47,8 @@ let serving_index = function
   | By_lldma -> 3
   | By_dram_direct -> 4
 
+let all_servings = [ By_cache; By_sram; By_sbuf; By_lldma; By_dram_direct ]
+
 let check_regions (arch : Mem_arch.t) regions =
   List.iter
     (fun (r : Mx_trace.Region.t) ->
@@ -390,8 +392,6 @@ let positions metas ~len ~max_region regions =
     (!n, Some idx)
   end
 
-let all_servings = [| By_cache; By_sram; By_sbuf; By_lldma; By_dram_direct |]
-
 let zero_stats =
   {
     accesses = 0; on_chip_hits = 0; demand_misses = 0; dram_bytes_total = 0;
@@ -403,7 +403,7 @@ let zero_stats =
 
 let add_stats a b =
   let by f g =
-    let v = Array.map (fun s -> f s + g s) all_servings in
+    let v = Array.of_list (List.map (fun s -> f s + g s) all_servings) in
     fun s -> v.(serving_index s)
   in
   {

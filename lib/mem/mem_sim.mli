@@ -13,6 +13,12 @@ type t
     channel it travels on. *)
 type serving = By_cache | By_sram | By_sbuf | By_lldma | By_dram_direct
 
+val all_servings : serving list
+(** Every serving class, in {!serving_index} order. *)
+
+val serving_index : serving -> int
+(** Dense 0..4 index, for per-class arrays. *)
+
 type outcome = {
   serving : serving;
   hit : bool;

@@ -1,7 +1,6 @@
 module Mem_sim = Mx_mem.Mem_sim
 module Mem_arch = Mx_mem.Mem_arch
 module Params = Mx_mem.Params
-module Channel = Mx_connect.Channel
 module Component = Mx_connect.Component
 module Conn_arch = Mx_connect.Conn_arch
 module Conn_cost = Mx_connect.Conn_cost
@@ -9,35 +8,6 @@ module Conn_cost = Mx_connect.Conn_cost
 let default_sample = (1000, 9000)
 
 type cpu_model = Blocking | Overlap of int
-
-(* A routed leg: which component instance carries a channel and whether
-   it is shared (contended). *)
-type leg = { comp : Component.t; idx : int; contended : bool }
-
-let route bindings (src : Channel.node) (dst : Channel.node) =
-  let probe = { Channel.src; dst; bandwidth = 0.0; txn_bytes = 0.0 } in
-  let rec go i = function
-    | [] -> None
-    | (b : Conn_arch.binding) :: rest ->
-      if
-        List.exists (Channel.same_endpoints probe)
-          b.Conn_arch.cluster.Mx_connect.Cluster.channels
-      then
-        Some
-          {
-            comp = b.Conn_arch.component;
-            idx = i;
-            contended =
-              List.length b.Conn_arch.cluster.Mx_connect.Cluster.channels > 1;
-          }
-      else go (i + 1) rest
-  in
-  go 0 bindings
-
-let node_of = Serving.node_of
-let serving_idx = Serving.index
-let module_latency = Serving.module_latency
-let module_energy = Serving.module_energy
 
 (* The demand (CPU-blocking) share of an access's off-chip traffic is
    critical-word-first (see {!Serving.critical_bytes}); the simulator
@@ -94,22 +64,11 @@ let run_stream_traced ?sample ?(cpu = Blocking) ?(seek = false)
     wait_acc.(idx) <- wait_acc.(idx) + wait;
     txn_acc.(idx) <- txn_acc.(idx) + 1
   in
-  (* routing tables per serving class; with an L2 the cache's off-chip
-     traffic flows Cache -> L2 -> DRAM *)
   let has_l2 = arch.Mem_arch.l2 <> None in
-  let cpu_leg = Array.make 5 None and dram_leg = Array.make 5 None in
-  let l2_leg = if has_l2 then route bindings Channel.Cache Channel.L2 else None in
-  List.iter
-    (fun sv ->
-      let node = node_of sv in
-      let i = serving_idx sv in
-      cpu_leg.(i) <- route bindings Channel.Cpu node;
-      if node <> Channel.Dram then
-        let dram_src =
-          if sv = Mem_sim.By_cache && has_l2 then Channel.L2 else node
-        in
-        dram_leg.(i) <- route bindings dram_src Channel.Dram)
-    Serving.all;
+  let paths =
+    Array.of_list (List.map (Serving.path conn ~has_l2) Mem_sim.all_servings)
+  in
+  let require = Serving.require "Cycle_sim.run" in
   let msim =
     Mem_sim.create arch ~regions:workload.Mx_trace.Workload.s_regions
   in
@@ -126,15 +85,6 @@ let run_stream_traced ?sample ?(cpu = Blocking) ?(seek = false)
   let total_lat = ref 0 in
   let total_wait = ref 0 in
   let energy = ref 0.0 in
-  let require leg sv =
-    match leg with
-    | Some l -> l
-    | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Cycle_sim.run: connectivity does not implement the %s channel"
-           (Channel.node_to_string (node_of sv)))
-  in
   let in_on_window i =
     match sample with
     | None -> true
@@ -149,48 +99,40 @@ let run_stream_traced ?sample ?(cpu = Blocking) ?(seek = false)
       ops_acc := !ops_acc -. float_of_int gap;
       let o = Mem_sim.access msim ~now:!i ~addr ~size ~write ~region in
       let sv = o.Mem_sim.serving in
-      let k = serving_idx sv in
+      let path = paths.(Mem_sim.serving_index sv) in
       if in_on_window !i then begin
         now := !now + gap;
-        let l1 = require cpu_leg.(k) sv in
-        let start1 = max !now busy.(l1.idx) in
+        let l1 = require path.Serving.cpu in
+        let start1 = max !now busy.(l1.index) in
         let wait1 = start1 - !now in
         let lat1 =
-          Component.txn_latency l1.comp ~bytes:size ~contended:l1.contended
+          Component.txn_latency l1.comp ~bytes:size ~contended:l1.shared
         in
         let occ1 = Component.occupancy l1.comp ~bytes:size in
-        note ~idx:l1.idx ~occ:occ1 ~wait:wait1;
-        let mem_lat = module_latency arch sv in
+        note ~idx:l1.index ~occ:occ1 ~wait:wait1;
+        let mem_lat = Serving.module_latency arch sv in
         let crit = critical_bytes arch sv o ~size in
         let bg = o.Mem_sim.dram_bytes - crit in
-        (* off-chip leg: By_dram_direct rides its CPU channel, others go
-           through their module's DRAM channel *)
         let miss_path = ref 0 in
-        (* the L1<->L2 leg comes first on an L1 miss when an L2 exists *)
+        (* the L1<->L2 leg comes first on an L1 miss when an L2 exists;
+           only the cache path of an L2 architecture moves L2 bytes *)
         if o.Mem_sim.l2_bytes > 0 then begin
-          let lm =
-            match l2_leg with
-            | Some l -> l
-            | None ->
-              invalid_arg
-                "Cycle_sim.run: connectivity does not implement the \
-                 cache<->L2 channel"
-          in
+          let lm = require (Option.get path.Serving.l2) in
           let crit_m = min 8 o.Mem_sim.l2_bytes in
           let t_req = !now + wait1 + lat1 in
-          let start_m = max t_req busy.(lm.idx) in
+          let start_m = max t_req busy.(lm.index) in
           let wait_m = start_m - t_req in
           let lat_m =
-            Component.txn_latency lm.comp ~bytes:crit_m ~contended:lm.contended
+            Component.txn_latency lm.comp ~bytes:crit_m ~contended:lm.shared
           in
           let occ_m = Component.occupancy lm.comp ~bytes:crit_m in
-          busy.(lm.idx) <- start_m + occ_m;
-          note ~idx:lm.idx ~occ:occ_m ~wait:wait_m;
+          busy.(lm.index) <- start_m + occ_m;
+          note ~idx:lm.index ~occ:occ_m ~wait:wait_m;
           let bg_m = o.Mem_sim.l2_bytes - crit_m in
           if bg_m > 0 then begin
             let occ_bg = Component.occupancy lm.comp ~bytes:bg_m in
-            busy.(lm.idx) <- max busy.(lm.idx) !now + occ_bg;
-            note ~idx:lm.idx ~occ:occ_bg ~wait:0
+            busy.(lm.index) <- max busy.(lm.index) !now + occ_bg;
+            note ~idx:lm.index ~occ:occ_bg ~wait:0
           end;
           let l2_lat =
             match arch.Mem_arch.l2 with
@@ -205,10 +147,8 @@ let run_stream_traced ?sample ?(cpu = Blocking) ?(seek = false)
                *. Conn_cost.energy_per_byte lm.comp)
         end;
         if o.Mem_sim.dram_bytes > 0 then begin
-          let l2 =
-            if sv = Mem_sim.By_dram_direct then l1
-            else require dram_leg.(k) sv
-          in
+          (* By_dram_direct rides its CPU channel off chip *)
+          let l2 = require path.Serving.dram in
           if crit > 0 then begin
             let dram_lat = Mx_mem.Dram.access (Mem_sim.dram msim) ~addr in
             if sv = Mem_sim.By_dram_direct then
@@ -217,17 +157,17 @@ let run_stream_traced ?sample ?(cpu = Blocking) ?(seek = false)
               miss_path := dram_lat
             else begin
               let t_req = !now + wait1 + lat1 + !miss_path in
-              let start2 = max t_req busy.(l2.idx) in
+              let start2 = max t_req busy.(l2.index) in
               let wait2 = start2 - t_req in
               let lat2 =
                 Component.txn_latency l2.comp ~bytes:crit
-                  ~contended:l2.contended
+                  ~contended:l2.shared
               in
               let occ2 = Component.occupancy l2.comp ~bytes:crit in
-              busy.(l2.idx) <-
+              busy.(l2.index) <-
                 start2 + occ2
                 + (if l2.comp.Component.split_txn then 0 else dram_lat);
-              note ~idx:l2.idx ~occ:occ2 ~wait:wait2;
+              note ~idx:l2.index ~occ:occ2 ~wait:wait2;
               miss_path := !miss_path + wait2 + lat2 + dram_lat;
               total_wait := !total_wait + wait2
             end
@@ -237,8 +177,8 @@ let run_stream_traced ?sample ?(cpu = Blocking) ?(seek = false)
                touches DRAM rows without stalling the CPU *)
             ignore (Mx_mem.Dram.access (Mem_sim.dram msim) ~addr);
             let occ_bg = Component.occupancy l2.comp ~bytes:bg in
-            busy.(l2.idx) <- max busy.(l2.idx) !now + occ_bg;
-            note ~idx:l2.idx ~occ:occ_bg ~wait:0
+            busy.(l2.index) <- max busy.(l2.index) !now + occ_bg;
+            note ~idx:l2.index ~occ:occ_bg ~wait:0
           end;
           (* off-chip energy: DRAM core (per burst) + pad/bus switching *)
           energy :=
@@ -249,7 +189,7 @@ let run_stream_traced ?sample ?(cpu = Blocking) ?(seek = false)
                *. Conn_cost.energy_per_byte l2.comp)
         end;
         (* hold a non-split CPU-side component for the whole miss *)
-        busy.(l1.idx) <-
+        busy.(l1.index) <-
           start1 + occ1
           + (if l1.comp.Component.split_txn then 0 else !miss_path);
         let latency =
@@ -276,7 +216,7 @@ let run_stream_traced ?sample ?(cpu = Blocking) ?(seek = false)
         incr sampled_accesses;
         energy :=
           !energy
-          +. module_energy arch sv ~write
+          +. Serving.module_energy arch sv ~write
           +. o.Mem_sim.extra_energy
           +. (float_of_int size *. Conn_cost.energy_per_byte l1.comp)
       end

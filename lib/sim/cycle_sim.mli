@@ -95,17 +95,6 @@ val run_stream :
     of very large traces, not for golden numbers.
     @raise Invalid_argument for [~seek:true] without [~sample]. *)
 
-val run_stream_traced :
-  ?sample:int * int ->
-  ?cpu:cpu_model ->
-  ?seek:bool ->
-  workload:Mx_trace.Workload.streamed ->
-  arch:Mx_mem.Mem_arch.t ->
-  conn:Mx_connect.Conn_arch.t ->
-  unit ->
-  Sim_result.t * bus_stat list
-(** {!run_stream} plus the per-component utilisation breakdown. *)
-
 val record_utilization_gauges : ?registry:Mx_util.Metrics.t -> unit -> unit
 (** Derive [cycle_sim.bus.<component>.utilization] gauges (aggregate
     busy cycles / total simulated cycles, per component type, across

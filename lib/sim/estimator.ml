@@ -1,18 +1,10 @@
 module Mem_sim = Mx_mem.Mem_sim
 module Mem_arch = Mx_mem.Mem_arch
 module Params = Mx_mem.Params
-module Channel = Mx_connect.Channel
 module Component = Mx_connect.Component
 module Conn_arch = Mx_connect.Conn_arch
 module Conn_cost = Mx_connect.Conn_cost
 module Rt = Mx_connect.Reservation_table
-
-let node_of = Serving.node_of
-
-let dram_core_latency = Serving.dram_core_latency
-
-(* the estimator characterises a read-dominated average access *)
-let module_energy arch sv = Serving.module_energy arch sv ~write:false
 
 (* critical-word-first demand bytes; without the observed transfer the
    estimator falls back to a 4-byte word, and sizes the LLDMA leg from
@@ -23,100 +15,47 @@ let critical_bytes_of (arch : Mem_arch.t) sv =
   in
   Serving.critical_bytes arch sv ~lldma_bytes ~fallback:4
 
-let module_latency = Serving.module_latency
-
-type leg = {
-  comp : Component.t;
-  binding_id : int;
-  contended : bool;
-}
-
 let estimate ~workload ~arch ~(profile : Mem_sim.stats) ~conn =
   if profile.Mem_sim.accesses = 0 then
     invalid_arg "Estimator.estimate: empty profile";
   let n = float_of_int profile.Mem_sim.accesses in
-  let bindings = Array.of_list (conn : Conn_arch.t).Conn_arch.bindings in
-  let find_leg src dst =
-    let probe = { Channel.src; dst; bandwidth = 0.0; txn_bytes = 0.0 } in
-    let found = ref None in
-    Array.iteri
-      (fun i (b : Conn_arch.binding) ->
-        if
-          !found = None
-          && List.exists (Channel.same_endpoints probe)
-               b.Conn_arch.cluster.Mx_connect.Cluster.channels
-        then
-          found :=
-            Some
-              {
-                comp = b.Conn_arch.component;
-                binding_id = i;
-                contended =
-                  List.length b.Conn_arch.cluster.Mx_connect.Cluster.channels
-                  > 1;
-              })
-      bindings;
-    !found
-  in
   (* per-serving traffic characterisation from the profile *)
   let active =
-    List.filter (fun sv -> profile.Mem_sim.cpu_accesses sv > 0) Serving.all
+    List.filter
+      (fun sv -> profile.Mem_sim.cpu_accesses sv > 0)
+      Mem_sim.all_servings
   in
   let avg_size sv =
     float_of_int (profile.Mem_sim.cpu_bytes sv)
     /. float_of_int (max 1 (profile.Mem_sim.cpu_accesses sv))
   in
+  (* a leg is needed when the profile has traffic on it *)
   let has_l2 = profile.Mem_sim.l2_txns_total > 0 in
+  let require = Serving.require "Estimator.estimate" in
   let legs =
     List.map
       (fun sv ->
-        let node = node_of sv in
-        let cpu =
-          match find_leg Channel.Cpu node with
-          | Some l -> l
-          | None ->
-            invalid_arg
-              (Printf.sprintf
-                 "Estimator.estimate: no component carries CPU<->%s"
-                 (Channel.node_to_string node))
-        in
-        let mid =
-          if sv = Mem_sim.By_cache && has_l2 then
-            match find_leg Channel.Cache Channel.L2 with
-            | Some l -> Some l
-            | None ->
-              invalid_arg
-                "Estimator.estimate: no component carries cache<->L2"
-          else None
-        in
-        let dram_src =
-          if sv = Mem_sim.By_cache && has_l2 then Channel.L2 else node
-        in
+        let path = Serving.path conn ~has_l2 sv in
+        let cpu = require path.Serving.cpu in
+        let mid = Option.map require path.Serving.l2 in
         let dram =
-          if node = Channel.Dram then Some cpu
-          else if profile.Mem_sim.dram_txns_by sv > 0 then
-            match find_leg dram_src Channel.Dram with
-            | Some l -> Some l
-            | None ->
-              invalid_arg
-                (Printf.sprintf
-                   "Estimator.estimate: no component carries %s<->DRAM"
-                   (Channel.node_to_string dram_src))
+          if profile.Mem_sim.dram_txns_by sv > 0 then
+            Some (require path.Serving.dram)
           else None
         in
         (sv, cpu, mid, dram))
       active
   in
   (* reservation-table-derived occupancy of each component instance *)
-  let busy = Array.make (Array.length bindings) 0.0 in
+  let busy = Array.make (List.length conn.Conn_arch.bindings) 0.0 in
   let occupancy comp ~bytes =
     float_of_int (Rt.initiation_interval comp ~bytes:(max 1 bytes))
   in
   List.iter
     (fun (sv, cpu, mid, dram) ->
       let txns = float_of_int (profile.Mem_sim.cpu_accesses sv) in
-      busy.(cpu.binding_id) <-
-        busy.(cpu.binding_id)
+      busy.(cpu.Conn_arch.index) <-
+        busy.(cpu.index)
         +. (txns *. occupancy cpu.comp ~bytes:(int_of_float (avg_size sv)));
       (match mid with
       | Some l when profile.Mem_sim.l2_txns_total > 0 ->
@@ -124,8 +63,8 @@ let estimate ~workload ~arch ~(profile : Mem_sim.stats) ~conn =
         let per_txn =
           float_of_int profile.Mem_sim.l2_bytes_total /. Float.max 1.0 mtx
         in
-        busy.(l.binding_id) <-
-          busy.(l.binding_id)
+        busy.(l.Conn_arch.index) <-
+          busy.(l.index)
           +. (mtx *. occupancy l.comp ~bytes:(int_of_float per_txn))
       | _ -> ());
       match dram with
@@ -136,10 +75,11 @@ let estimate ~workload ~arch ~(profile : Mem_sim.stats) ~conn =
           /. Float.max 1.0 dtxns
         in
         let hold =
-          if l.comp.Component.split_txn then 0.0 else dram_core_latency ()
+          if l.Conn_arch.comp.Component.split_txn then 0.0
+          else Serving.dram_core_latency ()
         in
-        busy.(l.binding_id) <-
-          busy.(l.binding_id)
+        busy.(l.index) <-
+          busy.(l.index)
           +. (dtxns
              *. (occupancy l.comp ~bytes:(int_of_float per_txn_bytes) +. hold))
       | _ -> ())
@@ -148,8 +88,8 @@ let estimate ~workload ~arch ~(profile : Mem_sim.stats) ~conn =
     float_of_int workload.Mx_trace.Workload.cpu_ops
     /. Float.max 1.0 (float_of_int (Mx_trace.Trace.length workload.Mx_trace.Workload.trace))
   in
-  let wait_of total_cycles binding_id service =
-    let rho = Float.min 0.98 (busy.(binding_id) /. Float.max 1.0 total_cycles) in
+  let wait_of total_cycles index service =
+    let rho = Float.min 0.98 (busy.(index) /. Float.max 1.0 total_cycles) in
     service /. 2.0 *. (rho /. (1.0 -. rho))
   in
   (* fixed-point on total time *)
@@ -165,12 +105,12 @@ let estimate ~workload ~arch ~(profile : Mem_sim.stats) ~conn =
             float_of_int (profile.Mem_sim.cpu_accesses sv) /. n
           in
           let size = int_of_float (avg_size sv) in
-          let s1 = occupancy cpu.comp ~bytes:size in
-          let w1 = wait_of !total cpu.binding_id s1 in
+          let s1 = occupancy cpu.Conn_arch.comp ~bytes:size in
+          let w1 = wait_of !total cpu.index s1 in
           let t1 =
             float_of_int
               (Component.txn_latency cpu.comp ~bytes:(max 1 size)
-                 ~contended:cpu.contended)
+                 ~contended:cpu.shared)
           in
           let miss_rate =
             float_of_int (profile.Mem_sim.demand_misses_by sv)
@@ -185,12 +125,12 @@ let estimate ~workload ~arch ~(profile : Mem_sim.stats) ~conn =
                 float_of_int profile.Mem_sim.l2_accesses
                 /. float_of_int (max 1 (profile.Mem_sim.cpu_accesses sv))
               in
-              let s_m = occupancy l.comp ~bytes:8 in
-              let w_m = wait_of !total l.binding_id s_m in
+              let s_m = occupancy l.Conn_arch.comp ~bytes:8 in
+              let w_m = wait_of !total l.index s_m in
               let t_m =
                 float_of_int
                   (Component.txn_latency l.comp ~bytes:8
-                     ~contended:l.contended)
+                     ~contended:l.shared)
               in
               let l2_lat =
                 match arch.Mem_arch.l2 with
@@ -209,22 +149,22 @@ let estimate ~workload ~arch ~(profile : Mem_sim.stats) ~conn =
                 if sv = Mem_sim.By_dram_direct then 0.0
                 else
                   float_of_int
-                    (Component.txn_latency l.comp ~bytes:(max 1 crit)
-                       ~contended:l.contended)
+                    (Component.txn_latency l.Conn_arch.comp ~bytes:(max 1 crit)
+                       ~contended:l.shared)
               in
               let s2 = occupancy l.comp ~bytes:(max 1 crit) in
               let w2 =
                 if sv = Mem_sim.By_dram_direct then 0.0
-                else wait_of !total l.binding_id s2
+                else wait_of !total l.index s2
               in
               bus_wait := !bus_wait +. (frac *. miss_rate *. w2 *. n);
-              w2 +. t2 +. dram_core_latency ()
+              w2 +. t2 +. Serving.dram_core_latency ()
           in
           bus_wait := !bus_wait +. (frac *. w1 *. n);
           acc
           +. (frac
              *. (w1 +. t1
-                +. float_of_int (module_latency arch sv)
+                +. float_of_int (Serving.module_latency arch sv)
                 +. l2_path
                 +. (miss_rate *. miss_path))))
         0.0 legs
@@ -238,13 +178,16 @@ let estimate ~workload ~arch ~(profile : Mem_sim.stats) ~conn =
       (fun acc (sv, cpu, mid, dram) ->
         let accs = float_of_int (profile.Mem_sim.cpu_accesses sv) in
         let cpu_bytes = float_of_int (profile.Mem_sim.cpu_bytes sv) in
-        let e_mod = accs *. module_energy arch sv in
-        let e_conn = cpu_bytes *. Conn_cost.energy_per_byte cpu.comp in
+        (* a read-dominated average access *)
+        let e_mod = accs *. Serving.module_energy arch sv ~write:false in
+        let e_conn =
+          cpu_bytes *. Conn_cost.energy_per_byte cpu.Conn_arch.comp
+        in
         let e_l2 =
           match mid with
           | Some l ->
             (float_of_int profile.Mem_sim.l2_bytes_total
-            *. Conn_cost.energy_per_byte l.comp)
+            *. Conn_cost.energy_per_byte l.Conn_arch.comp)
             +. (float_of_int profile.Mem_sim.l2_accesses
                *. (match arch.Mem_arch.l2 with
                   | Some c -> Mx_mem.Energy_model.cache_access c ~write:false
@@ -260,7 +203,8 @@ let estimate ~workload ~arch ~(profile : Mem_sim.stats) ~conn =
             if bytes = 0 then 0.0
             else
               Mx_mem.Energy_model.dram_traffic ~txns ~bytes
-              +. (float_of_int bytes *. Conn_cost.energy_per_byte l.comp)
+              +. float_of_int bytes
+                 *. Conn_cost.energy_per_byte l.Conn_arch.comp
         in
         acc +. e_mod +. e_conn +. e_l2 +. e_dram)
       0.0 legs

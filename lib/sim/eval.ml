@@ -4,7 +4,6 @@ module Mem_arch = Mx_mem.Mem_arch
 module Conn_arch = Mx_connect.Conn_arch
 module Memo_cache = Mx_util.Memo_cache
 module Persist_cache = Mx_util.Persist_cache
-module Metrics = Mx_util.Metrics
 
 type fidelity = Estimate | Sampled of int * int | Exact
 
@@ -20,30 +19,12 @@ let make_cache capacity =
 
 let cache : Sim_result.t Memo_cache.t ref = ref (make_cache default_cache_capacity)
 
-(* Shard provenance: which shard computed each cache entry.  A bounded
-   side table keyed like the cache; purely observational — it feeds the
-   [eval.cache.shard_*] counters that say whether a sharded run is
-   being served by its own shard's work or by a sibling's.  Everything
-   here is timing-dependent, hence the [cache.] metric segment. *)
-let producers : (string, string) Hashtbl.t = Hashtbl.create 1024
-let producers_mu = Mutex.create ()
-let producers_bound = 262_144
-
-let producers_clear () =
-  Mutex.lock producers_mu;
-  Hashtbl.reset producers;
-  Mutex.unlock producers_mu
-
-let set_cache_capacity capacity =
-  cache := make_cache (max 0 capacity);
-  producers_clear ()
+let set_cache_capacity capacity = cache := make_cache (max 0 capacity)
 
 let cache_capacity () = Memo_cache.capacity !cache
 let cache_stats () = Memo_cache.stats !cache
 
-let clear_cache () =
-  Memo_cache.clear !cache;
-  producers_clear ()
+let clear_cache () = Memo_cache.clear !cache
 
 (* Workload fingerprints are O(trace length); exploration evaluates the
    same workload thousands of times, so memoise the last one by physical
@@ -145,31 +126,7 @@ let promote_from_disk c ~exact_key =
     let r, _ = Memo_cache.find_or_compute_prov c ~key:exact_key (fun () -> r) in
     Some r
 
-let note_shard ~shard ~key prov =
-  match shard with
-  | None -> ()
-  | Some shard -> (
-    match prov with
-    (* a disk hit made the entry resident on this shard's behalf: for
-       shard-locality accounting it is this shard's production *)
-    | Computed | Disk_hit ->
-      Mutex.lock producers_mu;
-      if Hashtbl.length producers >= producers_bound then
-        Hashtbl.reset producers;
-      Hashtbl.replace producers key shard;
-      Mutex.unlock producers_mu
-    | Cache_hit | Promoted ->
-      Mutex.lock producers_mu;
-      let owner = Hashtbl.find_opt producers key in
-      Mutex.unlock producers_mu;
-      if Metrics.is_on Metrics.global then
-        Metrics.incr Metrics.global
-          (match owner with
-          | Some o when o = shard -> "eval.cache.shard_local_hits"
-          | Some _ -> "eval.cache.shard_remote_hits"
-          | None -> "eval.cache.shard_unknown_hits"))
-
-let eval_prov ~fidelity ~workload ~arch ?profile ?shard ~conn () =
+let eval_prov ~fidelity ~workload ~arch ?profile ~conn () =
   let c = !cache in
   let base =
     workload_fingerprint workload
@@ -184,40 +141,24 @@ let eval_prov ~fidelity ~workload ~arch ?profile ?shard ~conn () =
       | None -> invalid_arg "Eval.eval: Estimate fidelity requires ~profile"
     in
     let k = key ~base Estimate in
-    let r, prov =
-      find_via_tiers c ~key:k (fun () ->
-          Estimator.estimate ~workload ~arch ~profile ~conn)
-    in
-    note_shard ~shard ~key:k prov;
-    (r, prov)
+    find_via_tiers c ~key:k (fun () ->
+        Estimator.estimate ~workload ~arch ~profile ~conn)
   | Exact ->
     let k = key ~base Exact in
-    let r, prov =
-      find_via_tiers c ~key:k (fun () -> Cycle_sim.run ~workload ~arch ~conn ())
-    in
-    note_shard ~shard ~key:k prov;
-    (r, prov)
+    find_via_tiers c ~key:k (fun () -> Cycle_sim.run ~workload ~arch ~conn ())
   | Sampled (on, off) -> (
     (* an exact result for the same design is strictly higher fidelity:
        serve it instead of re-simulating with sampling *)
     let exact_key = key ~base Exact in
     match Memo_cache.peek c ~key:exact_key with
-    | Some r ->
-      note_shard ~shard ~key:exact_key Promoted;
-      (r, Promoted)
+    | Some r -> (r, Promoted)
     | None -> (
       match promote_from_disk c ~exact_key with
-      | Some r ->
-        note_shard ~shard ~key:exact_key Promoted;
-        (r, Promoted)
+      | Some r -> (r, Promoted)
       | None ->
         let k = key ~base (Sampled (on, off)) in
-        let r, prov =
-          find_via_tiers c ~key:k (fun () ->
-              Cycle_sim.run ~sample:(on, off) ~workload ~arch ~conn ())
-        in
-        note_shard ~shard ~key:k prov;
-        (r, prov)))
+        find_via_tiers c ~key:k (fun () ->
+            Cycle_sim.run ~sample:(on, off) ~workload ~arch ~conn ())))
 
-let eval ~fidelity ~workload ~arch ?profile ?shard ~conn () =
-  fst (eval_prov ~fidelity ~workload ~arch ?profile ?shard ~conn ())
+let eval ~fidelity ~workload ~arch ?profile ~conn () =
+  fst (eval_prov ~fidelity ~workload ~arch ?profile ~conn ())

@@ -48,22 +48,12 @@ val eval :
   workload:Mx_trace.Workload.t ->
   arch:Mx_mem.Mem_arch.t ->
   ?profile:Mx_mem.Mem_sim.stats ->
-  ?shard:string ->
   conn:Mx_connect.Conn_arch.t ->
   unit ->
   Sim_result.t
 (** Evaluate one (workload, memory, connectivity) design point at the
     requested fidelity, serving it from the cache when an entry of equal
     or higher fidelity exists.
-
-    [?shard] is the structural fingerprint of the design-space shard
-    issuing the call ({!Mx_core} [Shard.fingerprint]); when given, the
-    cache records which shard computed each entry (in a bounded side
-    table) and classifies later hits as [eval.cache.shard_local_hits],
-    [eval.cache.shard_remote_hits] (another shard's work served this
-    one) or [eval.cache.shard_unknown_hits] counters.  Purely
-    observational; all of it lives under the schedule-exempt [cache.]
-    metric segment.
     @raise Invalid_argument when [fidelity = Estimate] and no [~profile]
     is supplied, or whenever the underlying evaluator rejects the
     design (unroutable channel, bad sampling windows, empty profile). *)
@@ -87,15 +77,13 @@ val eval_prov :
   workload:Mx_trace.Workload.t ->
   arch:Mx_mem.Mem_arch.t ->
   ?profile:Mx_mem.Mem_sim.stats ->
-  ?shard:string ->
   conn:Mx_connect.Conn_arch.t ->
   unit ->
   Sim_result.t * provenance
 (** {!eval} that also reports where the result came from.  Provenance is
     schedule-dependent (cache contents depend on cross-domain timing),
     so events derived from it must carry a [cache.] segment in their
-    name — see {!Mx_util.Event_log.schedule_dependent}.  [?shard] as in
-    {!eval}. *)
+    name — see {!Mx_util.Event_log.schedule_dependent}. *)
 
 val default_cache_capacity : int
 (** 65536 entries — far above the working set of any bundled experiment,

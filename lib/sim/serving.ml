@@ -2,24 +2,37 @@ module Mem_sim = Mx_mem.Mem_sim
 module Mem_arch = Mx_mem.Mem_arch
 module Params = Mx_mem.Params
 module Channel = Mx_connect.Channel
+module Conn_arch = Mx_connect.Conn_arch
 
-let all =
-  [ Mem_sim.By_cache; Mem_sim.By_sram; Mem_sim.By_sbuf; Mem_sim.By_lldma;
-    Mem_sim.By_dram_direct ]
+type leg = (Conn_arch.leg, string) result
+type path = { cpu : leg; l2 : leg option; dram : leg }
 
-let node_of = function
-  | Mem_sim.By_cache -> Channel.Cache
-  | Mem_sim.By_sram -> Channel.Sram
-  | Mem_sim.By_sbuf -> Channel.Sbuf
-  | Mem_sim.By_lldma -> Channel.Lldma
-  | Mem_sim.By_dram_direct -> Channel.Dram
+let leg conn src dst =
+  match Conn_arch.route conn src dst with
+  | Some l -> Ok l
+  | None ->
+    Error (Channel.node_to_string src ^ "<->" ^ Channel.node_to_string dst)
 
-let index = function
-  | Mem_sim.By_cache -> 0
-  | Mem_sim.By_sram -> 1
-  | Mem_sim.By_sbuf -> 2
-  | Mem_sim.By_lldma -> 3
-  | Mem_sim.By_dram_direct -> 4
+(* With an L2 the cache's off-chip traffic flows cache -> L2 -> DRAM; a
+   direct DRAM access rides its CPU channel off chip. *)
+let path conn ~has_l2 sv =
+  let node = Channel.of_serving sv in
+  let via_l2 = has_l2 && sv = Mem_sim.By_cache in
+  let cpu = leg conn Channel.Cpu node in
+  {
+    cpu;
+    l2 = (if via_l2 then Some (leg conn Channel.Cache Channel.L2) else None);
+    dram =
+      (if node = Channel.Dram then cpu
+       else leg conn (if via_l2 then Channel.L2 else node) Channel.Dram);
+  }
+
+let require who = function
+  | Ok l -> l
+  | Error ends ->
+    invalid_arg
+      (Printf.sprintf "%s: connectivity does not implement the %s channel" who
+         ends)
 
 (* average DRAM core latency assuming a mixed row-hit/miss stream *)
 let dram_core_latency () =

@@ -3,18 +3,39 @@
 
     Both evaluators reason about the same five serving classes (which
     module answered a CPU access) and agree on the per-class connectivity
-    node, module latency/energy, and the critical-word-first demand
+    legs, module latency/energy, and the critical-word-first demand
     share of an off-chip fill.  Keeping one copy here guarantees the two
-    fidelity levels cannot silently diverge on these ground truths. *)
+    fidelity levels cannot silently diverge on these ground truths.  The
+    classes themselves, their dense index and their connectivity
+    endpoint are {!Mx_mem.Mem_sim.all_servings},
+    {!Mx_mem.Mem_sim.serving_index} and {!Mx_connect.Channel.of_serving}. *)
 
-val all : Mx_mem.Mem_sim.serving list
-(** Every serving class, in {!index} order. *)
+type leg = (Mx_connect.Conn_arch.leg, string) result
+(** A routed leg, or [Error ends] naming the channel no binding carries
+    (e.g. ["cache<->DRAM"]). *)
 
-val node_of : Mx_mem.Mem_sim.serving -> Mx_connect.Channel.node
-(** The connectivity endpoint a serving class talks through. *)
+type path = {
+  cpu : leg;  (** CPU <-> the serving module *)
+  l2 : leg option;
+      (** cache <-> L2; [None] when the class's traffic does not cross
+          an L2 *)
+  dram : leg;
+      (** the off-chip leg: from the L2 for the cache of an L2
+          architecture, from the module otherwise, and the CPU leg
+          itself for a direct DRAM access *)
+}
 
-val index : Mx_mem.Mem_sim.serving -> int
-(** Dense 0..4 index, for per-class arrays. *)
+val path :
+  Mx_connect.Conn_arch.t -> has_l2:bool -> Mx_mem.Mem_sim.serving -> path
+(** Every leg a serving class's traffic can take, each routed by
+    {!Mx_connect.Conn_arch.route}.  A missing leg is not an error here:
+    each evaluator decides when it needs one (the cycle simulator per
+    access, the estimator when the profile has traffic on it) and then
+    calls {!require}. *)
+
+val require : string -> leg -> Mx_connect.Conn_arch.leg
+(** [require who leg] is the routed leg.
+    @raise Invalid_argument naming [who] and the missing channel. *)
 
 val dram_core_latency : unit -> float
 (** Average DRAM core latency of the library DRAM part assuming a mixed

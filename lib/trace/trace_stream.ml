@@ -129,14 +129,6 @@ let iter_packed t ~f =
           ~region:(Trace.meta_region meta)
       done)
 
-let to_trace t =
-  let out = Trace.create ~capacity:(max 16 t.length) () in
-  iter_chunks t ~f:(fun c ->
-      for k = c.c_off to c.c_off + c.c_len - 1 do
-        Trace.add_packed out ~addr:c.c_addrs.(k) ~meta:c.c_metas.(k)
-      done);
-  out
-
 let content_hash t =
   let h = ref Trace.hash_basis in
   iter_chunks t ~f:(fun c ->

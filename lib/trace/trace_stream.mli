@@ -72,9 +72,6 @@ val iter_packed :
   t -> f:(addr:int -> size:int -> kind:Access.kind -> region:int -> unit) -> unit
 (** Sequential whole-stream iteration (fetches every chunk). *)
 
-val to_trace : t -> Trace.t
-(** Materialise the stream as an in-memory trace. *)
-
 val content_hash : t -> int
 (** Equals {!Trace.content_hash} of the materialised trace, by
     construction (same FNV-1a fold) — what makes a fingerprint

@@ -62,8 +62,8 @@ let streamed ~name ~regions ~cpu_ops stream =
     s_stream = stream; s_fp = None }
 
 (* The stream hashes with the same FNV-1a fold as Trace.content_hash,
-   so this fingerprint equals [fingerprint (of_streamed s)] without
-   ever materialising the trace.  Memoised: hashing reads the whole
+   so this fingerprint equals the [fingerprint] of the same workload
+   held in memory, without ever materialising the trace.  Memoised: hashing reads the whole
    stream, and the eval cache asks for the fingerprint repeatedly. *)
 let streamed_fingerprint s =
   match s.s_fp with
@@ -77,14 +77,6 @@ let streamed_fingerprint s =
     in
     s.s_fp <- Some fp;
     fp
-
-let of_streamed s =
-  {
-    name = s.s_name;
-    regions = s.s_regions;
-    trace = Trace_stream.to_trace s.s_stream;
-    cpu_ops = s.s_cpu_ops;
-  }
 
 let region_by_name t name =
   match List.find_opt (fun r -> r.Region.name = name) t.regions with

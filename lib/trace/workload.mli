@@ -69,11 +69,9 @@ val streamed :
   streamed
 
 val streamed_fingerprint : streamed -> string
-(** Equal to [fingerprint (of_streamed s)], computed without
-    materialising the trace.  Reads the whole stream once; memoised. *)
-
-val of_streamed : streamed -> t
-(** Materialise the stream into an ordinary in-memory workload. *)
+(** Equal to the {!fingerprint} of the same workload held in memory,
+    computed without materialising the trace.  Reads the whole stream
+    once; memoised. *)
 
 (** Instrumentation helper for kernels: counts CPU work and appends
     element-level reads/writes to the trace. *)

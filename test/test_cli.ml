@@ -675,6 +675,95 @@ let test_serve_cache_dir_warm_start () =
       Helpers.check_true "warm stats shows resident persist entries"
         (Test_metrics.contains ~needle:"\"persist\": {\"entries\":" stats_line))
 
+(* `serve --socket PATH` may remove only a stale socket at PATH.  The
+   server runs as a child process so that a regression (a server that
+   binds and waits for clients) fails the test instead of hanging it. *)
+let spawn_serve bin path =
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process bin [| bin; "serve"; "--socket"; path |] null null null
+  in
+  Unix.close null;
+  pid
+
+(* the child's exit status, or [None] (child killed) after ~10 s *)
+let wait_exit pid =
+  let rec go tries =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when tries > 0 ->
+      Unix.sleepf 0.05;
+      go (tries - 1)
+    | 0, _ ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid);
+      None
+    | _, status -> Some status
+  in
+  go 200
+
+let with_socket_path suffix f =
+  let path = Filename.temp_file "conex_sock" suffix in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () -> f path)
+
+let test_serve_socket_keeps_file () =
+  match conex_bin with
+  | None -> Alcotest.skip ()
+  | Some bin ->
+    with_socket_path ".txt" @@ fun path ->
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc "precious");
+    Helpers.check_true "serve refuses a regular file at the socket path"
+      (wait_exit (spawn_serve bin path) = Some (Unix.WEXITED 1));
+    Helpers.check_true "the file survives"
+      (In_channel.with_open_bin path In_channel.input_all = "precious")
+
+let test_serve_socket_replaces_stale () =
+  match conex_bin with
+  | None -> Alcotest.skip ()
+  | Some bin ->
+    with_socket_path ".sock" @@ fun path ->
+    Sys.remove path;
+    (* a socket whose server is gone: bound, never listened on, closed *)
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.bind fd (Unix.ADDR_UNIX path);
+    Unix.close fd;
+    let pid = spawn_serve bin path in
+    let rec connect tries =
+      let c = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      match Unix.connect c (Unix.ADDR_UNIX path) with
+      | () -> Some c
+      | exception Unix.Unix_error _ ->
+        Unix.close c;
+        if tries = 0 then None
+        else begin
+          Unix.sleepf 0.05;
+          connect (tries - 1)
+        end
+    in
+    let resp =
+      Option.map
+        (fun c ->
+          let ic = Unix.in_channel_of_descr c
+          and oc = Unix.out_channel_of_descr c in
+          output_string oc "{\"id\": 1, \"op\": \"shutdown\"}\n";
+          flush oc;
+          let line = try input_line ic with End_of_file -> "" in
+          Unix.close c;
+          line)
+        (connect 200)
+    in
+    let status = wait_exit pid in
+    Helpers.check_true "the server answers on the reclaimed socket"
+      (match resp with
+      | Some line -> Test_metrics.contains ~needle:"\"op\": \"shutdown\"" line
+      | None -> false);
+    Helpers.check_true "the server exits 0 after shutdown"
+      (status = Some (Unix.WEXITED 0));
+    Helpers.check_true "the socket is removed on shutdown"
+      (not (Sys.file_exists path))
+
 let suite =
   ( "cli",
     [
@@ -742,4 +831,8 @@ let suite =
       Alcotest.test_case "check apex suite exits 0" `Quick test_check_apex_ok;
       Alcotest.test_case "check apex selftest exits 1" `Quick
         test_check_apex_counterexample;
+      Alcotest.test_case "serve --socket keeps a regular file" `Quick
+        test_serve_socket_keeps_file;
+      Alcotest.test_case "serve --socket replaces a stale socket" `Quick
+        test_serve_socket_replaces_stale;
     ] )

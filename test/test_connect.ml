@@ -241,20 +241,49 @@ let test_conn_arch_rejects_infeasible () =
        false
      with Invalid_argument _ -> true)
 
-let test_conn_arch_lookup_and_sharers () =
+let check_leg what ~comp ~index ~shared = function
+  | None -> Alcotest.failf "%s: no leg" what
+  | Some (l : Conn_arch.leg) ->
+    Helpers.check_true (what ^ ": component")
+      (l.Conn_arch.comp.Component.name = comp);
+    Helpers.check_int (what ^ ": index") index l.Conn_arch.index;
+    Helpers.check_true (what ^ ": shared") (l.Conn_arch.shared = shared)
+
+let test_conn_arch_route_and_sharing () =
   let c1 = ch Channel.Cpu Channel.Cache and c2 = ch Channel.Cpu Channel.Sram in
   let cl = Cluster.merge (Cluster.of_channel c1) (Cluster.of_channel c2) in
-  let arch = Conn_arch.make [ (cl, Component.by_name "ahb32") ] in
-  Helpers.check_int "two sharers" 2 (Conn_arch.sharers arch c1);
-  let b = Conn_arch.lookup arch c2 in
-  Helpers.check_true "lookup finds the bus"
-    (b.Conn_arch.component.Component.name = "ahb32")
+  let off = Cluster.of_channel (ch Channel.Cache Channel.Dram) in
+  let arch =
+    Conn_arch.make
+      [ (cl, Component.by_name "ahb32"); (off, Component.by_name "off32") ]
+  in
+  check_leg "CPU<->cache" ~comp:"ahb32" ~index:0 ~shared:true
+    (Conn_arch.route arch Channel.Cpu Channel.Cache);
+  (* endpoints match in either direction *)
+  check_leg "SRAM<->CPU" ~comp:"ahb32" ~index:0 ~shared:true
+    (Conn_arch.route arch Channel.Sram Channel.Cpu);
+  check_leg "cache<->DRAM" ~comp:"off32" ~index:1 ~shared:false
+    (Conn_arch.route arch Channel.Cache Channel.Dram)
 
-let test_conn_arch_lookup_missing () =
+let test_conn_arch_route_missing () =
   let cl = Cluster.of_channel (ch Channel.Cpu Channel.Cache) in
   let arch = Conn_arch.make [ (cl, Component.by_name "ded32") ] in
-  Alcotest.check_raises "missing channel" Not_found (fun () ->
-      ignore (Conn_arch.lookup arch (ch Channel.Cpu Channel.Sram)))
+  Helpers.check_true "missing channel routes nowhere"
+    (Conn_arch.route arch Channel.Cpu Channel.Sram = None)
+
+let test_conn_arch_route_first_binding () =
+  (* a channel carried by two bindings routes to the first *)
+  let c1 = ch Channel.Cpu Channel.Cache and c2 = ch Channel.Cpu Channel.Sram in
+  let both = Cluster.merge (Cluster.of_channel c1) (Cluster.of_channel c2) in
+  let arch =
+    Conn_arch.make
+      [ (Cluster.of_channel c1, Component.by_name "ded32");
+        (both, Component.by_name "ahb32") ]
+  in
+  check_leg "CPU<->cache" ~comp:"ded32" ~index:0 ~shared:false
+    (Conn_arch.route arch Channel.Cpu Channel.Cache);
+  check_leg "CPU<->SRAM" ~comp:"ahb32" ~index:1 ~shared:true
+    (Conn_arch.route arch Channel.Cpu Channel.Sram)
 
 let test_conn_cost_grows_with_ports () =
   let ahb = Component.by_name "ahb32" in
@@ -349,8 +378,10 @@ let suite =
       Alcotest.test_case "levels dedup" `Quick test_enumerate_levels_dedup;
       Alcotest.test_case "infeasible empty" `Quick test_enumerate_empty_when_infeasible;
       Alcotest.test_case "conn_arch feasibility" `Quick test_conn_arch_rejects_infeasible;
-      Alcotest.test_case "lookup & sharers" `Quick test_conn_arch_lookup_and_sharers;
-      Alcotest.test_case "lookup missing" `Quick test_conn_arch_lookup_missing;
+      Alcotest.test_case "route & sharing" `Quick test_conn_arch_route_and_sharing;
+      Alcotest.test_case "route missing" `Quick test_conn_arch_route_missing;
+      Alcotest.test_case "route first binding" `Quick
+        test_conn_arch_route_first_binding;
       Alcotest.test_case "cost grows with ports" `Quick test_conn_cost_grows_with_ports;
       Alcotest.test_case "fanin guard" `Quick test_conn_cost_fanin_guard;
       Alcotest.test_case "connectivity << memory" `Quick test_conn_cost_small_vs_memory;

@@ -94,27 +94,17 @@ let test_cycle_sim_with_l2 () =
   let brg = Brg.build arch (Helpers.profile_of arch w) in
   let conn = Helpers.naive_conn brg in
   let r = Mx_sim.Cycle_sim.run ~workload:w ~arch ~conn () in
-  Helpers.check_true "latency positive" (r.Mx_sim.Sim_result.avg_mem_latency > 0.0);
-  (* dropping the cache<->L2 binding must be rejected *)
-  let missing =
-    Mx_connect.Conn_arch.make
-      (List.filter_map
-         (fun ch ->
-           if ch.Channel.src = Channel.Cache && ch.Channel.dst = Channel.L2 then
-             None
-           else
-             Some
-               ( Mx_connect.Cluster.of_channel ch,
-                 if Channel.crosses_chip ch then
-                   Mx_connect.Component.by_name "off32"
-                 else Mx_connect.Component.by_name "ded32" ))
-         brg.Brg.channels)
-  in
-  Helpers.check_true "missing L2 channel rejected"
-    (try
-       ignore (Mx_sim.Cycle_sim.run ~workload:w ~arch ~conn:missing ());
-       false
-     with Invalid_argument _ -> true)
+  Helpers.check_true "latency positive" (r.Mx_sim.Sim_result.avg_mem_latency > 0.0)
+
+(* both evaluators reject a design without the cache<->L2 leg *)
+let test_missing_l2_leg_rejected () =
+  let w = Helpers.mixed_workload () in
+  let arch = with_l2 w in
+  let profile = Helpers.profile_of arch w in
+  Test_sim.check_both_reject ~w ~arch ~profile ~channel:"cache<->L2"
+    ~conn:
+      (Test_sim.naive_without (Brg.build arch profile)
+         (Test_sim.joins Channel.Cache Channel.L2))
 
 let test_estimator_with_l2 () =
   let w = Helpers.mixed_workload () in
@@ -179,4 +169,6 @@ let suite =
       Alcotest.test_case "estimator with L2" `Quick test_estimator_with_l2;
       Alcotest.test_case "APEX explores L2" `Quick test_apex_explores_l2;
       Alcotest.test_case "APEX size filter" `Quick test_apex_l2_size_filter;
+      Alcotest.test_case "both reject a missing L2 leg" `Quick
+        test_missing_l2_leg_rejected;
     ] )

@@ -7,6 +7,7 @@ module Brg = Mx_connect.Brg
 module Component = Mx_connect.Component
 module Cluster = Mx_connect.Cluster
 module Conn_arch = Mx_connect.Conn_arch
+module Channel = Mx_connect.Channel
 
 let setup ?(rich = false) () =
   let w = Helpers.mixed_workload () in
@@ -62,22 +63,59 @@ let test_wider_offchip_bus_faster () =
   Helpers.check_true "wider off-chip bus reduces latency"
     (wide.Sim_result.avg_mem_latency < narrow.Sim_result.avg_mem_latency)
 
-let test_missing_channel_rejected () =
-  let w, arch, _, brg = setup () in
-  (* drop the off-chip binding entirely *)
-  let onchip_only =
-    Conn_arch.make
-      (List.filter_map
-         (fun ch ->
-           if Mx_connect.Channel.crosses_chip ch then None
-           else Some (Cluster.of_channel ch, Component.by_name "ded32"))
-         brg.Brg.channels)
+(* -- rejection parity -------------------------------------------------- *)
+
+(* Both evaluators take their legs from [Serving.path]: on a connectivity
+   that lacks a leg the design needs, each must reject the design and
+   name the same missing channel. *)
+let naive_without (brg : Brg.t) drop =
+  Conn_arch.make
+    (List.filter_map
+       (fun ch ->
+         if drop ch then None
+         else
+           let cl = Cluster.of_channel ch in
+           let comp = if cl.Cluster.offchip then "off32" else "ded32" in
+           Some (cl, Component.by_name comp))
+       brg.Brg.channels)
+
+let joins a b (ch : Channel.t) =
+  (ch.Channel.src = a && ch.Channel.dst = b)
+  || (ch.Channel.src = b && ch.Channel.dst = a)
+
+let check_both_reject ~w ~arch ~profile ~conn ~channel =
+  let rejection f =
+    match f () with
+    | () -> None
+    | exception Invalid_argument msg -> Some msg
   in
-  Helpers.check_true "unimplemented channel rejected"
-    (try
-       ignore (Cycle_sim.run ~workload:w ~arch ~conn:onchip_only ());
-       false
-     with Invalid_argument _ -> true)
+  List.iter
+    (fun (who, r) ->
+      match r with
+      | None -> Alcotest.failf "%s accepted a design without %s" who channel
+      | Some msg ->
+        Helpers.check_true
+          (Printf.sprintf "%s names %s (%s)" who channel msg)
+          (Test_metrics.contains ~needle:(channel ^ " channel") msg))
+    [
+      ( "Estimator.estimate",
+        rejection (fun () ->
+            ignore (Estimator.estimate ~workload:w ~arch ~profile ~conn)) );
+      ( "Cycle_sim.run",
+        rejection (fun () -> ignore (Cycle_sim.run ~workload:w ~arch ~conn ()))
+      );
+    ]
+
+let test_reject_missing_cpu_leg () =
+  let w, arch, profile, brg = setup () in
+  check_both_reject ~w ~arch ~profile ~channel:"CPU<->cache"
+    ~conn:(naive_without brg (joins Channel.Cpu Channel.Cache))
+
+let test_missing_channel_rejected () =
+  let w, arch, profile, brg = setup () in
+  (* drop the off-chip binding entirely *)
+  check_both_reject ~w ~arch ~profile ~channel:"cache<->DRAM"
+    ~conn:(naive_without brg Channel.crosses_chip)
 
 let test_sampling_close_to_exact () =
   let w, arch, _, brg = setup () in
@@ -195,4 +233,6 @@ let suite =
       Alcotest.test_case "estimator fidelity" `Quick test_estimator_fidelity_ordering;
       Alcotest.test_case "estimator energy" `Quick test_estimator_energy_close_to_sim;
       Alcotest.test_case "estimator speed" `Slow test_estimator_much_faster_than_sim;
+      Alcotest.test_case "both reject a missing CPU leg" `Quick
+        test_reject_missing_cpu_leg;
     ] )
